@@ -229,7 +229,8 @@ def bounds_report(pair: FiniteProductPair) -> BoundsReport:
         lower_kl, upper_pinsker = kl_bracket(sub)
         p_active = red.p.params[active]
         q_active = red.q.params[active]
-        two_point = all(pair.support_sizes[i] <= 2 for i in active)
+        sizes = pair.support_sizes
+        two_point = all(sizes[i] <= 2 for i in active)
         symmetric = two_point and bool(
             np.all(np.abs(q_active - (1.0 - p_active)) <= SYMMETRIC_TOLERANCE)
         )

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .bounds import bounds_report
 from .core import (
+    DEFAULT_BUDGET_LOG2,
     DimensionMismatchError,
     EnumerationBudgetError,
     FiniteDist,
@@ -376,9 +377,10 @@ def _add_instance(parser) -> None:
 
 def _add_budget_workers(parser) -> None:
     parser.add_argument("--budget", type=int, default=None, metavar="LOG2",
-                        help="exact-enumeration budget as log2 of joint outcomes")
+                        help="largest joint support for exact TV, as log2 of its "
+                             f"outcome count (default {DEFAULT_BUDGET_LOG2})")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for exact enumeration (result-invariant)")
+                        help="accepted for compatibility; does not change results")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -396,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(p_bounds, "json")
     p_bounds.set_defaults(handler=cmd_bounds)
 
-    p_exact = sub.add_parser("exact", help="exact TV by joint-support enumeration")
+    p_exact = sub.add_parser("exact", help="exact TV by meet-in-the-middle over the joint support")
     _add_instance(p_exact)
     _add_budget_workers(p_exact)
     _add_format(p_exact, "json")

@@ -1,14 +1,16 @@
 """Exact, closed-form, and sampled total-variation distances for product measures.
 
-Joint outcome spaces are enumerated in fixed-size blocks combined by an
-ordered pairwise reduction, so results are bit-identical no matter how many
-worker threads participate.
+The exact paths meet in the middle (Horowitz-Sahni): the coordinates are split
+into two halves, one half's outcomes are sorted by log-likelihood ratio, and a
+single binary search per outcome of the other half sums every joint outcome
+whose P-mass exceeds its Q-mass. A joint support of N outcomes costs
+O(sqrt(N) log N) time and O(sqrt(N)) memory instead of O(N). The enumeration
+budget still caps N itself, and no result depends on a worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,6 @@ from scipy.special import gammaln, xlog1py, xlogy
 
 __all__ = [
     "DEFAULT_BUDGET_LOG2",
-    "ENUM_BLOCK_BITS",
     "MASS_TOLERANCE",
     "DimensionMismatchError",
     "InvalidDistributionError",
@@ -35,9 +36,6 @@ __all__ = [
 
 # Joint-support cap for exact enumeration, as log2 of the outcome count.
 DEFAULT_BUDGET_LOG2 = 26
-# Outcomes are processed in blocks of at most 2**ENUM_BLOCK_BITS; the block
-# layout is fixed so the summation order never depends on the worker count.
-ENUM_BLOCK_BITS = 16
 # Accepted deviation of a mass vector's total from 1 before rejection.
 MASS_TOLERANCE = 1e-9
 
@@ -231,38 +229,73 @@ def _tree_sum(values) -> float:
     return vals[0]
 
 
-def _bernoulli_block(params: np.ndarray) -> np.ndarray:
-    """Outcome probabilities for all bit patterns of the given coordinates.
-
-    Bit i of the outcome index is coordinate i.
-    """
-    block = np.ones(1)
-    for prob in params:
-        block = np.concatenate((block * (1.0 - prob), block * prob))
-    return block
-
-
 def _product_block(mass_list) -> np.ndarray:
-    """Joint masses over a prefix of coordinates, mixed-radix indexed."""
+    """Joint masses over the given coordinates, mixed-radix indexed."""
     block = np.ones(1)
     for masses in mass_list:
         block = (masses[:, None] * block[None, :]).reshape(-1)
     return block
 
 
-def _run_blocks(block_fn, n_blocks: int, workers: int) -> list:
-    if workers <= 1 or n_blocks <= 1:
-        return [block_fn(c) for c in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(block_fn, range(n_blocks)))
+def _scan(values: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums by a log-depth (Hillis-Steele) scan.
+
+    Each prefix is added up along a binary tree of depth ceil(log2 len), so for
+    nonnegative values its relative rounding error is at most that depth times
+    2**-53; a sequential cumulative sum's error grows with the length instead.
+    """
+    out = np.array(values, dtype=np.float64)
+    step = 1
+    while step < out.size:
+        out[step:] = out[step:] + out[:-step]
+        step *= 2
+    return out
+
+
+def _half(p_rows, q_rows) -> tuple:
+    """A half's joint masses, without the outcomes that are null on both sides."""
+    mass_p, mass_q = _product_block(p_rows), _product_block(q_rows)
+    kept = (mass_p > 0.0) | (mass_q > 0.0)
+    return mass_p[kept], mass_q[kept]
+
+
+def _exact_tv(p_rows, q_rows) -> float:
+    """Exact TV of two product distributions given by per-coordinate mass rows.
+
+    TV is the sum over joint outcomes (a, b) of P_a P_b - Q_a Q_b where that is
+    positive, i.e. where log P_b - log Q_b > log Q_a - log P_a. The coordinates
+    are cut into halves A and B whose support sizes balance in log2; B is
+    sorted by its log-likelihood ratio with suffix sums of P_b and Q_b, and one
+    searchsorted per outcome a gives its term P_a sum P_b - Q_a sum Q_b.
+
+    Against the exact TV of the float masses it receives (Bernoulli rows taken
+    as the exact complements 1 - p, p), the absolute error is at most
+    (16 n + 8 log2 N + 32) * 2**-53 for n coordinates and joint support N:
+    under 1e-13 for n <= 12 within the default budget. Identical sides give
+    exactly 0.0, since no outcome passes the strict ratio test.
+    """
+    log_sizes = np.concatenate(([0.0], np.cumsum([math.log2(len(r)) for r in p_rows])))
+    split = int(np.argmin(np.abs(2.0 * log_sizes - log_sizes[-1])))
+    mass_pa, mass_qa = _half(p_rows[:split], q_rows[:split])
+    mass_pb, mass_qb = _half(p_rows[split:], q_rows[split:])
+    with np.errstate(divide="ignore"):
+        ratio_b = np.log(mass_pb) - np.log(mass_qb)
+        threshold_a = np.log(mass_qa) - np.log(mass_pa)
+    order = np.argsort(ratio_b, kind="stable")
+    tail_p = np.append(_scan(mass_pb[order][::-1])[::-1], 0.0)
+    tail_q = np.append(_scan(mass_qb[order][::-1])[::-1], 0.0)
+    first = np.searchsorted(ratio_b[order], threshold_a, side="right")
+    terms = np.maximum(0.0, mass_pa * tail_p[first] - mass_qa * tail_q[first])
+    return min(1.0, float(_scan(terms)[-1]))
 
 
 def exact_tv_bernoulli(p, q, *, budget_log2: int | None = None, workers: int = 1) -> float:
     """Exact TV distance between two Bernoulli product distributions.
 
-    Enumerates all 2**n outcomes, so n is capped at ``budget_log2``
-    (DEFAULT_BUDGET_LOG2 unless overridden). The fixed block layout makes the
-    result bit-identical for any ``workers`` count.
+    The 2**n joint outcomes are summed by the meet-in-the-middle kernel in
+    O(2**(n/2) n) time; n is still capped at ``budget_log2``
+    (DEFAULT_BUDGET_LOG2 unless overridden). ``workers`` is accepted for
+    compatibility and does not change the result or start threads.
     """
     pa, qa = _matched_params(p, q)
     n = pa.size
@@ -271,67 +304,27 @@ def exact_tv_bernoulli(p, q, *, budget_log2: int | None = None, workers: int = 1
         raise EnumerationBudgetError(
             f"2^{n} outcomes exceed the 2^{budget} enumeration budget"
         )
-    low = min(n, ENUM_BLOCK_BITS)
-    block_p = _bernoulli_block(pa[:low])
-    block_q = _bernoulli_block(qa[:low])
-    high_p = pa[low:]
-    high_q = qa[low:]
-    n_blocks = 1 << (n - low)
-
-    def block_fn(c: int) -> float:
-        wp = wq = 1.0
-        for i in range(n - low):
-            if (c >> i) & 1:
-                wp *= high_p[i]
-                wq *= high_q[i]
-            else:
-                wp *= 1.0 - high_p[i]
-                wq *= 1.0 - high_q[i]
-        return float(np.abs(wp * block_p - wq * block_q).sum())
-
-    total = _tree_sum(_run_blocks(block_fn, n_blocks, workers))
-    return min(1.0, 0.5 * total)
+    return _exact_tv(np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
 
 
 def exact_tv_general(pair: FiniteProductPair, *, budget_log2: int | None = None,
                      workers: int = 1) -> float:
     """Exact TV distance between two general finite product distributions.
 
-    The full joint support (product of per-coordinate support sizes) must fit
-    the enumeration budget.
+    The joint support (product of per-coordinate support sizes) must fit the
+    enumeration budget, although the meet-in-the-middle kernel only visits
+    about its square root. ``workers`` is accepted and does not change the
+    result.
     """
     if not isinstance(pair, FiniteProductPair):
         pair = FiniteProductPair(*pair)
-    sizes = pair.support_sizes
     total_support = pair.joint_support()
     budget = DEFAULT_BUDGET_LOG2 if budget_log2 is None else int(budget_log2)
     if total_support > (1 << budget):
         raise EnumerationBudgetError(
             f"joint support {total_support} exceeds the 2^{budget} enumeration budget"
         )
-    n = pair.n
-    # At least one coordinate always goes into the vectorized block.
-    split, block_len = 1, sizes[0]
-    while split < n and block_len * sizes[split] <= (1 << ENUM_BLOCK_BITS):
-        block_len *= sizes[split]
-        split += 1
-    block_p = _product_block([d.masses for d in pair.p_side[:split]])
-    block_q = _product_block([d.masses for d in pair.q_side[:split]])
-    p_masses = [d.masses for d in pair.p_side]
-    q_masses = [d.masses for d in pair.q_side]
-    n_blocks = total_support // block_len
-
-    def block_fn(c: int) -> float:
-        wp = wq = 1.0
-        rem = c
-        for i in range(split, n):
-            rem, digit = divmod(rem, sizes[i])
-            wp *= p_masses[i][digit]
-            wq *= q_masses[i][digit]
-        return float(np.abs(wp * block_p - wq * block_q).sum())
-
-    total = _tree_sum(_run_blocks(block_fn, n_blocks, workers))
-    return min(1.0, 0.5 * total)
+    return _exact_tv([d.masses for d in pair.p_side], [d.masses for d in pair.q_side])
 
 
 def _binomial_pmf(n: int, prob: float) -> np.ndarray:
@@ -346,7 +339,8 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     """Exact TV for constant-parameter Bernoulli products, in O(n).
 
     Outcome probabilities depend only on the number of ones, so the 2**n sum
-    collapses to a binomial one; coefficients are taken in log space.
+    collapses to a binomial one; coefficients are taken in log space. The tests
+    hold it to the exact kernel's error bound against rational TV for n <= 12.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")

@@ -1,10 +1,11 @@
 """Independent brute-force oracles and instance generators for the test suite.
 
-The oracles deliberately avoid the library's block-enumeration path: they walk
-outcomes one by one with plain Python arithmetic.
+The oracles deliberately avoid the library's exact kernel: they walk outcomes
+one by one with plain Python arithmetic, in floats or in exact rationals.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +37,30 @@ def tv_general_brute(p_rows, q_rows):
             mass_q *= float(q_rows[i][state])
         total += abs(mass_p - mass_q)
     return 0.5 * total
+
+
+def _tv_rational(p_rows, q_rows):
+    joints = []
+    for rows in (p_rows, q_rows):
+        joint = [Fraction(1)]
+        for row in rows:
+            joint = [mass * prefix for mass in row for prefix in joint]
+        joints.append(joint)
+    return sum(abs(a - b) for a, b in zip(*joints)) / 2
+
+
+def tv_fraction(p_rows, q_rows):
+    """Exact rational TV of general rows, each float read as the rational it stores."""
+    def exact(rows):
+        return [[Fraction(float(x)) for x in row] for row in rows]
+    return _tv_rational(exact(p_rows), exact(q_rows))
+
+
+def tv_fraction_bernoulli(p, q):
+    """Exact rational TV of a Bernoulli pair, with exact complements 1 - p."""
+    def exact(params):
+        return [[1 - Fraction(float(x)), Fraction(float(x))] for x in params]
+    return _tv_rational(exact(p), exact(q))
 
 
 def joint_masses(rows):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from oracles import (
     random_bernoulli_pair,
     random_product_pair,
     tv_bernoulli_brute,
+    tv_fraction,
+    tv_fraction_bernoulli,
     tv_general_brute,
 )
 
@@ -131,6 +134,151 @@ class TestExactGeneral:
         pair = tv.FiniteProductPair.from_bernoulli([0.5] * 8, [0.4] * 8)
         with pytest.raises(tv.EnumerationBudgetError):
             tv.exact_tv_general(pair, budget_log2=7)
+
+
+def exact_error_bound(n, joint_support):
+    """The exact kernel's documented absolute error bound."""
+    return (16 * n + 8 * math.log2(joint_support) + 32) * 2.0 ** -53
+
+
+def _bernoulli_contract_cases():
+    rng = np.random.default_rng(111)
+    signs = rng.choice((-1.0, 1.0), size=12)
+    base = rng.uniform(0.05, 0.95, 12)
+    # p_i = q_i in {0, 1} at coordinates 0, 2 (first half) and 9, 11 (second
+    # half), so each half has outcomes of zero mass on both sides; 4 and 7
+    # are null on one side only.
+    zero_p, zero_q = rng.random(12), rng.random(12)
+    zero_p[[0, 2, 9, 11]] = zero_q[[0, 2, 9, 11]] = (0.0, 1.0, 0.0, 1.0)
+    zero_p[[4, 7]] = (1.0, 0.0)
+    disjoint_p, disjoint_q = rng.random(12), rng.random(12)
+    disjoint_p[5], disjoint_q[5] = 1.0, 0.0
+    return {
+        "random": (rng.random(12), rng.random(12)),
+        "random_n3": (rng.random(3), rng.random(3)),
+        "zero_one": (zero_p, zero_q),
+        "near_identical": (base, base + 3e-11 * signs),
+        "symmetric": (base, 1.0 - base),
+        "disjoint": (disjoint_p, disjoint_q),
+        "identical": (base, base.copy()),
+        "constant": (np.full(12, 0.3), np.full(12, 0.45)),
+        "constant_near": (np.full(12, 0.3), np.full(12, 0.3 + 1e-11)),
+        "constant_disjoint": (np.full(7, 1.0), np.full(7, 0.0)),
+        "constant_identical": (np.full(12, 0.7), np.full(12, 0.7)),
+    }
+
+
+BERNOULLI_CONTRACT = _bernoulli_contract_cases()
+
+
+def _general_contract_cases():
+    rng = np.random.default_rng(112)
+    sizes = (2, 3, 4, 2, 3, 4, 2)
+    rows = [rng.dirichlet(np.ones(k)) for k in sizes]
+    other = [rng.dirichlet(np.ones(k)) for k in sizes]
+    near = [r * np.exp(3e-11 * rng.choice((-1.0, 1.0), r.size)) for r in rows]
+    shared_zero_p = [r.copy() for r in rows]
+    shared_zero_q = [r.copy() for r in other]
+    for i in (0, 1, 5, 6):  # a state null on both sides, in both halves
+        shared_zero_p[i][0] = shared_zero_q[i][0] = 0.0
+    disjoint_q = [r.copy() for r in other]
+    rows_disjoint = [r.copy() for r in rows]
+    rows_disjoint[3], disjoint_q[3] = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    return {
+        "random": (rows, other),
+        "near_identical": (rows, [r / r.sum() for r in near]),
+        "shared_zero": ([r / r.sum() for r in shared_zero_p],
+                        [r / r.sum() for r in shared_zero_q]),
+        "disjoint": (rows_disjoint, disjoint_q),
+        "identical": (rows, [r.copy() for r in rows]),
+    }
+
+
+GENERAL_CONTRACT = _general_contract_cases()
+
+
+def _assert_within(value, exact, bound):
+    assert bound <= 1e-13
+    assert 0.0 <= value <= 1.0
+    assert abs(Fraction(value) - exact) <= bound, (value, float(exact), bound)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. NaN from log 0 - log 0
+class TestErrorContract:
+    """Every exact path against exact rational TV, within the documented bound."""
+
+    @pytest.mark.parametrize("name", sorted(BERNOULLI_CONTRACT))
+    def test_bernoulli_paths(self, name):
+        p, q = BERNOULLI_CONTRACT[name]
+        n = p.size
+        exact = tv_fraction_bernoulli(p, q)
+        bound = exact_error_bound(n, 2 ** n)
+        values = [tv.exact_tv_bernoulli(p, q),
+                  tv.exact_tv_general(tv.FiniteProductPair.from_bernoulli(p, q))]
+        if name.startswith("constant"):
+            values.append(tv.exact_tv_equal_marginals(n, float(p[0]), float(q[0])))
+        for value in values:
+            _assert_within(value, exact, bound)
+        if name in ("identical", "constant_identical"):
+            assert values == [0.0] * len(values)
+        if name in ("disjoint", "constant_disjoint"):
+            assert exact == 1
+        if name in ("near_identical", "constant_near"):
+            assert 1e-11 < exact < 1e-9
+
+    @pytest.mark.parametrize("name", sorted(GENERAL_CONTRACT))
+    def test_general_rows(self, name):
+        pair = tv.FiniteProductPair(*map(tuple, GENERAL_CONTRACT[name]))
+        p_rows = [d.masses for d in pair.p_side]
+        q_rows = [d.masses for d in pair.q_side]
+        exact = tv_fraction(p_rows, q_rows)
+        value = tv.exact_tv_general(pair)
+        bound = exact_error_bound(pair.n, pair.joint_support())
+        _assert_within(value, exact, bound)
+        if name == "identical":
+            assert value == 0.0
+        if name == "disjoint":
+            # Normalized float rows sum to 1 only within rounding.
+            assert abs(value - 1.0) <= bound
+        if name == "near_identical":
+            assert 1e-11 < exact < 1e-9
+
+
+def _rows(rng, sizes):
+    rows = []
+    for k in sizes:
+        row = rng.random(k)
+        if k > 2 and rng.random() < 0.5:
+            row[int(rng.integers(k))] = 0.0
+        rows.append(row / row.sum())
+    return tuple(rows)
+
+
+class TestSplitCoverage:
+    """Unbalanced support sizes put the split where one half dominates or is empty."""
+
+    @pytest.mark.parametrize("sizes", [
+        (40,) + (2,) * 7,
+        (2,) * 7 + (40,),
+        (2, 40, 2),
+        (5,),
+        (2,),
+        (2, 3, 4, 3, 2, 4),
+        (4, 4, 3, 2, 2, 2, 2, 3),
+    ], ids=str)
+    def test_matches_bruteforce(self, sizes):
+        rng = np.random.default_rng(113)
+        for _ in range(5):
+            p_rows, q_rows = _rows(rng, sizes), _rows(rng, sizes)
+            pair = tv.FiniteProductPair(p_rows, q_rows)
+            expected = tv_general_brute([d.masses for d in pair.p_side],
+                                        [d.masses for d in pair.q_side])
+            assert tv.exact_tv_general(pair) == pytest.approx(expected, abs=1e-12)
+
+    def test_raised_budget_reaches_n36(self):
+        n, p, q = 36, 0.3, 0.36
+        value = tv.exact_tv_bernoulli([p] * n, [q] * n, budget_log2=36)
+        assert value == pytest.approx(tv.exact_tv_equal_marginals(n, p, q), abs=1e-12)
 
 
 class TestEqualMarginals:

@@ -11,12 +11,13 @@ applies to a given pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 from scipy.special import rel_entr
 
-from .core import FiniteProductPair, MarginalTV, ProbVector, _params
+from .core import FiniteProductPair, MarginalTV, _as_pair, _params
 from .reduce import ScheffeReduction, scheffe_reduce
 
 __all__ = [
@@ -55,55 +56,6 @@ class LowerBoundConstants:
 
 
 LOWER_BOUND_CONSTANTS = LowerBoundConstants()
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Every applicable TV bound for a product pair, plus the best aggregates.
-
-    Optional fields are None when the bound does not apply: lower_kl requires
-    a finite KL divergence and a small enough minimum mass, the symmetric
-    upper bounds require the pair to reduce to a two-point symmetric one.
-    """
-
-    delta: MarginalTV
-    reduction: ScheffeReduction
-    lower_trivial: float
-    lower_l2: float
-    lower_hellinger: float
-    lower_kl: float | None
-    upper_trivial: float
-    upper_hellinger: float
-    upper_pinsker: float
-    upper_symmetric: float | None
-    upper_affinity: float | None
-    best_lower: float
-    best_lower_source: str
-    best_upper: float
-    best_upper_source: str
-
-    @property
-    def ratio(self) -> float | None:
-        """best_upper / best_lower, or None when the lower bound is 0."""
-        if self.best_lower > 0.0:
-            return self.best_upper / self.best_lower
-        return None
-
-    def lower_bounds(self) -> dict:
-        out = {"trivial": self.lower_trivial, "l2": self.lower_l2,
-               "hellinger": self.lower_hellinger}
-        if self.lower_kl is not None:
-            out["kl"] = self.lower_kl
-        return out
-
-    def upper_bounds(self) -> dict:
-        out = {"trivial": self.upper_trivial, "hellinger": self.upper_hellinger,
-               "pinsker": self.upper_pinsker}
-        if self.upper_symmetric is not None:
-            out["symmetric"] = self.upper_symmetric
-        if self.upper_affinity is not None:
-            out["affinity"] = self.upper_affinity
-        return out
 
 
 def _deltas(delta) -> np.ndarray:
@@ -145,9 +97,9 @@ def symmetric_affinity_upper_bound(p) -> float:
     return 1.0 - affinity
 
 
-def _coordinate_hellinger_sq(dp, dq) -> float:
-    diff = np.sqrt(dp.masses) - np.sqrt(dq.masses)
-    return float((diff * diff).sum())
+def _fold(ufunc, start: float, values: np.ndarray) -> float:
+    """start combined with each value in turn, left to right, as a Python float."""
+    return float(ufunc.accumulate(np.append(start, values))[-1])
 
 
 def hellinger_bracket(pair: FiniteProductPair) -> tuple:
@@ -156,11 +108,9 @@ def hellinger_bracket(pair: FiniteProductPair) -> tuple:
     Per-coordinate H_i^2 combine through the affinity product
     1 - H^2/2 = prod_i (1 - H_i^2/2).
     """
-    if not isinstance(pair, FiniteProductPair):
-        pair = FiniteProductPair(*pair)
-    affinity = 1.0
-    for dp, dq in zip(pair.p_side, pair.q_side):
-        affinity *= 1.0 - 0.5 * _coordinate_hellinger_sq(dp, dq)
+    pair = _as_pair(pair)
+    diff = np.sqrt(pair.p_masses) - np.sqrt(pair.q_masses)
+    affinity = _fold(np.multiply, 1.0, 1.0 - 0.5 * (diff * diff).sum(axis=1))
     h_sq = 2.0 * (1.0 - affinity)
     lower = 0.5 * h_sq
     upper = math.sqrt(h_sq) * math.sqrt(max(0.0, 1.0 - 0.25 * h_sq))
@@ -176,15 +126,11 @@ def kl_bracket(pair: FiniteProductPair) -> tuple:
     m = min(P_min, Q_min) with P_min = prod_i min_w P_i(w); it is emitted only
     when KL is finite and 0 < P_min < 1/2, and is None otherwise.
     """
-    if not isinstance(pair, FiniteProductPair):
-        pair = FiniteProductPair(*pair)
-    kl = 0.0
-    p_min = 1.0
-    q_min = 1.0
-    for dp, dq in zip(pair.p_side, pair.q_side):
-        kl += float(rel_entr(dp.masses, dq.masses).sum())
-        p_min *= float(dp.masses.min())
-        q_min *= float(dq.masses.min())
+    pair = _as_pair(pair)
+    kl = _fold(np.add, 0.0, rel_entr(pair.p_masses, pair.q_masses).sum(axis=1))
+    states = np.arange(pair.p_masses.shape[1]) < pair.support_sizes[:, None]
+    p_min = _fold(np.multiply, 1.0, pair.p_masses.min(axis=1, where=states, initial=np.inf))
+    q_min = _fold(np.multiply, 1.0, pair.q_masses.min(axis=1, where=states, initial=np.inf))
     if math.isinf(kl):
         return None, 1.0
     upper = min(1.0, math.sqrt(0.5 * kl))
@@ -195,11 +141,72 @@ def kl_bracket(pair: FiniteProductPair) -> tuple:
     return lower, upper
 
 
-def _restrict(pair: FiniteProductPair, indices) -> FiniteProductPair:
-    return FiniteProductPair(
-        tuple(pair.p_side[i] for i in indices),
-        tuple(pair.q_side[i] for i in indices),
-    )
+# What the bound families read: the marginal gaps, the pair on its active
+# coordinates (None when the sides are identical) and, when that part is
+# symmetric, its reduced p (else None).
+_Inputs = namedtuple("_Inputs", "delta active symmetric_p")
+
+
+def _symmetric(inputs: _Inputs, bound) -> float | None:
+    if inputs.active is None:
+        return 0.0
+    return None if inputs.symmetric_p is None else bound(inputs.symmetric_p)
+
+
+# The bound families of a report, in tie-breaking order: (name of its lower
+# bound, name of its upper bound, bracket). A bracket maps the inputs to
+# (lower, upper); a side the family does not bound is None, and so is a bound
+# that does not apply. Identical sides have TV 0, and so has every sharp bound.
+_FAMILIES = (
+    ("trivial", "trivial", lambda x: trivial_bracket(x.delta)),
+    ("l2", None, lambda x: (l2_lower_bound(x.delta), None)),
+    ("hellinger", "hellinger",
+     lambda x: (0.0, 0.0) if x.active is None else hellinger_bracket(x.active)),
+    ("kl", "pinsker", lambda x: (None, 0.0) if x.active is None else kl_bracket(x.active)),
+    (None, "symmetric", lambda x: (None, _symmetric(x, symmetric_l2_upper_bound))),
+    (None, "affinity", lambda x: (None, _symmetric(x, symmetric_affinity_upper_bound))),
+)
+# The table of bounds as (side, name): a report's field side_name, lower
+# bounds first, each side in family order.
+_BOUNDS = tuple(("lower", low) for low, _, _ in _FAMILIES if low) + tuple(
+    ("upper", up) for _, up, _ in _FAMILIES if up)
+
+
+def _applicable(values: dict, side: str) -> dict:
+    """The bounds on one side that apply, by name, in table order."""
+    named = {name: values[f"{s}_{name}"] for s, name in _BOUNDS if s == side}
+    return {name: value for name, value in named.items() if value is not None}
+
+
+class _ReportMethods:
+    @property
+    def ratio(self) -> float | None:
+        """best_upper / best_lower, or None when the lower bound is 0."""
+        return self.best_upper / self.best_lower if self.best_lower > 0.0 else None
+
+    def lower_bounds(self) -> dict:
+        return _applicable(vars(self), "lower")
+
+    def upper_bounds(self) -> dict:
+        return _applicable(vars(self), "upper")
+
+
+BoundsReport = make_dataclass(
+    "BoundsReport",
+    [("delta", MarginalTV), ("reduction", ScheffeReduction)]
+    + [(f"{side}_{name}", "float | None") for side, name in _BOUNDS]
+    + [("best_lower", float), ("best_lower_source", str),
+       ("best_upper", float), ("best_upper_source", str)],
+    bases=(_ReportMethods,),
+    frozen=True,
+    namespace={"__module__": __name__, "__doc__": """\
+Every applicable TV bound for a product pair, plus the best aggregates.
+
+    Its fields side_name follow the table of bounds. Optional fields are None
+    when the bound does not apply: lower_kl requires a finite KL divergence and
+    a small enough minimum mass, the symmetric upper bounds require the pair to
+    reduce to a two-point symmetric one."""},
+)
 
 
 def bounds_report(pair: FiniteProductPair) -> BoundsReport:
@@ -213,69 +220,34 @@ def bounds_report(pair: FiniteProductPair) -> BoundsReport:
     two-point coordinates reduce by relabeling, so the bounds transfer to the
     original pair.
     """
-    if not isinstance(pair, FiniteProductPair):
-        pair = FiniteProductPair(*pair)
+    pair = _as_pair(pair)
     red = scheffe_reduce(pair)
-    deltas = red.p.params - red.q.params
-    delta = MarginalTV(deltas)
+    delta = MarginalTV(red.p.params - red.q.params)
+    inputs = _Inputs(delta, None, None)
+    active = red.favored.any(axis=1)
+    if active.any():
+        p_active, q_active = red.p.params[active], red.q.params[active]
+        symmetric = np.all(pair.support_sizes[active] <= 2) and np.all(
+            np.abs(q_active - (1.0 - p_active)) <= SYMMETRIC_TOLERANCE)
+        sub = pair if active.all() else pair._take(active)
+        inputs = _Inputs(delta, sub, p_active if symmetric else None)
 
-    lower_trivial, upper_trivial = trivial_bracket(delta)
-    lower_l2 = l2_lower_bound(delta)
-
-    active = [i for i, w in enumerate(red.witness_sets) if w]
-    if active:
-        sub = _restrict(pair, active)
-        lower_hellinger, upper_hellinger = hellinger_bracket(sub)
-        lower_kl, upper_pinsker = kl_bracket(sub)
-        p_active = red.p.params[active]
-        q_active = red.q.params[active]
-        sizes = pair.support_sizes
-        two_point = all(sizes[i] <= 2 for i in active)
-        symmetric = two_point and bool(
-            np.all(np.abs(q_active - (1.0 - p_active)) <= SYMMETRIC_TOLERANCE)
-        )
-        if symmetric:
-            upper_symmetric = symmetric_l2_upper_bound(p_active)
-            upper_affinity = symmetric_affinity_upper_bound(p_active)
-        else:
-            upper_symmetric = None
-            upper_affinity = None
-    else:
-        # The two sides are identical: TV is 0 and so is every sharp bound.
-        lower_hellinger, upper_hellinger = 0.0, 0.0
-        lower_kl, upper_pinsker = None, 0.0
-        upper_symmetric = 0.0
-        upper_affinity = 0.0
-
-    lowers = {"trivial": lower_trivial, "l2": lower_l2, "hellinger": lower_hellinger}
-    if lower_kl is not None:
-        lowers["kl"] = lower_kl
-    uppers = {"trivial": upper_trivial, "hellinger": upper_hellinger,
-              "pinsker": upper_pinsker}
-    if upper_symmetric is not None:
-        uppers["symmetric"] = upper_symmetric
-    if upper_affinity is not None:
-        uppers["affinity"] = upper_affinity
-
+    values = {}
+    for low, up, bracket in _FAMILIES:
+        lower, upper = bracket(inputs)
+        if low:
+            values[f"lower_{low}"] = lower
+        if up:
+            values[f"upper_{up}"] = upper
+    lowers, uppers = _applicable(values, "lower"), _applicable(values, "upper")
     best_lower_source = max(lowers, key=lowers.get)
     best_upper_source = min(uppers, key=uppers.get)
-    best_lower = min(1.0, max(0.0, lowers[best_lower_source]))
-    best_upper = min(1.0, max(0.0, uppers[best_upper_source]))
-
     return BoundsReport(
         delta=delta,
         reduction=red,
-        lower_trivial=lower_trivial,
-        lower_l2=lower_l2,
-        lower_hellinger=lower_hellinger,
-        lower_kl=lower_kl,
-        upper_trivial=upper_trivial,
-        upper_hellinger=upper_hellinger,
-        upper_pinsker=upper_pinsker,
-        upper_symmetric=upper_symmetric,
-        upper_affinity=upper_affinity,
-        best_lower=best_lower,
+        **values,
+        best_lower=min(1.0, max(0.0, lowers[best_lower_source])),
         best_lower_source=best_lower_source,
-        best_upper=best_upper,
+        best_upper=min(1.0, max(0.0, uppers[best_upper_source])),
         best_upper_source=best_upper_source,
     )

@@ -9,7 +9,8 @@ string ``label``:
 Reports are emitted as JSON (default), CSV, or an aligned text table; floats
 use shortest round-trip formatting, so identical invocations produce
 byte-identical output. Exit codes: 0 success, 2 parse/validation error,
-3 enumeration budget exceeded, 4 numeric-domain error.
+3 enumeration budget exceeded, 4 numeric-domain error (including an exact TV
+that ``bounds --exact`` finds outside its own bracket).
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bounds import bounds_report
 from .core import (
     DEFAULT_BUDGET_LOG2,
     DimensionMismatchError,
     EnumerationBudgetError,
-    FiniteDist,
     FiniteProductPair,
     InvalidDistributionError,
     ProbVector,
@@ -50,6 +50,11 @@ SCHEMA_VERSION = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_DOMAIN = 4
+
+# Slack of the bracket check in ``bounds --exact``: larger than the exact
+# kernel's stated error bound (16 n + 8 log2 N + 32) * 2**-53 for every
+# n <= 48 (about 7e-14 at n = 26).
+_BRACKET_SLACK = 1e-12
 
 
 class CliParseError(Exception):
@@ -88,18 +93,6 @@ def _load_json(path: str):
         raise CliParseError(f"{path}: invalid JSON: {exc}")
 
 
-def _parse_dist_rows(rows, name: str, source: str):
-    if not isinstance(rows, list) or not rows:
-        raise CliParseError(f"{source}: {name} must be a non-empty list of mass rows")
-    dists = []
-    for i, row in enumerate(rows):
-        try:
-            dists.append(FiniteDist(row))
-        except (InvalidDistributionError, TypeError) as exc:
-            raise CliParseError(f"{source}: {name}[{i}]: {exc}")
-    return tuple(dists)
-
-
 def _parse_instance(doc, source: str) -> Instance:
     if not isinstance(doc, dict):
         raise CliParseError(f"{source}: instance must be a JSON object")
@@ -124,10 +117,8 @@ def _parse_instance(doc, source: str) -> Instance:
         return Instance(kind="bernoulli", label=label, pair=pair, p=p, q=q)
     if general_keys != {"P", "Q"}:
         raise CliParseError(f"{source}: a general instance needs both P and Q")
-    p_side = _parse_dist_rows(doc["P"], "P", source)
-    q_side = _parse_dist_rows(doc["Q"], "Q", source)
     try:
-        pair = FiniteProductPair(p_side, q_side)
+        pair = FiniteProductPair(doc["P"], doc["Q"])
     except (InvalidDistributionError, DimensionMismatchError) as exc:
         raise CliParseError(f"{source}: {exc}")
     return Instance(kind="general", label=label, pair=pair)
@@ -138,13 +129,9 @@ def _print_json(doc) -> None:
 
 
 def _print_text(doc) -> None:
-    items = [(key, value) for key, value in doc.items()]
-    width = max(len(key) for key, _ in items)
-    for key, value in items:
-        if isinstance(value, (list, dict)):
-            rendered = json.dumps(value)
-        else:
-            rendered = _fmt(value)
+    width = max(map(len, doc))
+    for key, value in doc.items():
+        rendered = json.dumps(value) if isinstance(value, (list, dict)) else _fmt(value)
         print(f"{key:<{width}}  {rendered}")
 
 
@@ -161,15 +148,22 @@ def _emit_scalar_doc(doc, fmt: str) -> None:
     elif fmt == "text":
         _print_text(doc)
     else:
-        header = list(doc.keys())
-        row = []
-        for key in header:
-            value = doc[key]
-            if isinstance(value, (list, dict)):
-                row.append(json.dumps(value, separators=(",", ":")).replace(",", ";"))
-            else:
-                row.append(value)
-        _print_csv(header, [row])
+        _print_csv(list(doc), [[
+            json.dumps(value, separators=(",", ":")).replace(",", ";")
+            if isinstance(value, (list, dict)) else value for value in doc.values()
+        ]])
+
+
+def _emit_rows(columns, rows, fmt: str) -> None:
+    """Emit a table of records: CSV rows, one JSON document, or text blocks."""
+    if fmt == "csv":
+        _print_csv(columns, rows)
+    elif fmt == "json":
+        _print_json({"schema_version": SCHEMA_VERSION,
+                     "rows": [dict(zip(columns, row)) for row in rows]})
+    else:
+        for row in rows:
+            _print_text(dict(zip(columns, row)))
 
 
 def _base_doc(instance: Instance) -> dict:
@@ -188,6 +182,20 @@ def _exact_tv(instance: Instance, budget, workers: int) -> float:
     return exact_tv_general(instance.pair, budget_log2=budget, workers=workers)
 
 
+def _check_bracket(report, exact: float) -> None:
+    """Raise ValueError when an exact TV falls outside the report's bracket."""
+    if not report.best_lower - _BRACKET_SLACK <= exact:
+        raise ValueError(
+            f"exact TV {exact!r} lies below best_lower {report.best_lower!r} "
+            f"({report.best_lower_source}): the bracket is violated"
+        )
+    if not exact <= report.best_upper + _BRACKET_SLACK:
+        raise ValueError(
+            f"exact TV {exact!r} lies above best_upper {report.best_upper!r} "
+            f"({report.best_upper_source}): the bracket is violated"
+        )
+
+
 def cmd_bounds(args) -> int:
     instance = _parse_instance(_load_json(args.instance), args.instance)
     report = bounds_report(instance.pair)
@@ -195,26 +203,19 @@ def cmd_bounds(args) -> int:
     doc["delta_linf"] = report.delta.linf
     doc["delta_l2"] = report.delta.l2
     doc["delta_l1"] = report.delta.l1
-    doc["lower_trivial"] = report.lower_trivial
-    doc["lower_l2"] = report.lower_l2
-    doc["lower_hellinger"] = report.lower_hellinger
-    doc["lower_kl"] = report.lower_kl
-    doc["upper_trivial"] = report.upper_trivial
-    doc["upper_hellinger"] = report.upper_hellinger
-    doc["upper_pinsker"] = report.upper_pinsker
-    doc["upper_symmetric"] = report.upper_symmetric
-    doc["upper_affinity"] = report.upper_affinity
-    doc["best_lower"] = report.best_lower
-    doc["best_lower_source"] = report.best_lower_source
-    doc["best_upper"] = report.best_upper
-    doc["best_upper_source"] = report.best_upper_source
+    for field in fields(report):
+        if field.name not in ("delta", "reduction"):
+            doc[field.name] = getattr(report, field.name)
     doc["ratio"] = report.ratio
     warnings = []
     if args.exact:
         try:
-            doc["exact_tv"] = _exact_tv(instance, args.budget, args.workers)
+            exact = _exact_tv(instance, args.budget, args.workers)
         except EnumerationBudgetError as exc:
             warnings.append(f"exact TV omitted: {exc}")
+        else:
+            _check_bracket(report, exact)
+            doc["exact_tv"] = exact
     if warnings:
         doc["warnings"] = warnings
     _emit_scalar_doc(doc, args.format)
@@ -312,14 +313,7 @@ def cmd_gap(args) -> int:
         inst = gap_instance(n)
         rows.append((inst.n, inst.tv_pq, inst.tv_pq_prime_upper,
                      inst.ratio_lower, math.sqrt(inst.n)))
-    if args.format == "csv":
-        _print_csv(GAP_COLUMNS, rows)
-    elif args.format == "json":
-        _print_json({"schema_version": SCHEMA_VERSION,
-                     "rows": [dict(zip(GAP_COLUMNS, row)) for row in rows]})
-    else:
-        for row in rows:
-            _print_text(dict(zip(GAP_COLUMNS, row)))
+    _emit_rows(GAP_COLUMNS, rows, args.format)
     return 0
 
 
@@ -337,14 +331,7 @@ def cmd_sweep(args) -> int:
         )
         rows.append((inst.n, inst.tv_pq, tv_prime_exact, inst.tv_pq_prime_upper,
                      ratio, inst.ratio_lower, ratio / math.sqrt(inst.n)))
-    if args.format == "csv":
-        _print_csv(SWEEP_COLUMNS, rows)
-    elif args.format == "json":
-        _print_json({"schema_version": SCHEMA_VERSION,
-                     "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]})
-    else:
-        for row in rows:
-            _print_text(dict(zip(SWEEP_COLUMNS, row)))
+    _emit_rows(SWEEP_COLUMNS, rows, args.format)
     return 0
 
 
@@ -366,13 +353,15 @@ def cmd_lowther(args) -> int:
     return 0
 
 
-def _add_format(parser, default: str) -> None:
-    parser.add_argument("--format", choices=("json", "csv", "text"), default=default,
-                        help=f"output format (default {default})")
-
-
-def _add_instance(parser) -> None:
-    parser.add_argument("instance", help="path to a JSON instance file, or - for stdin")
+def _add_command(sub, name: str, handler, help: str, fmt: str = "json",
+                 instance: bool = True) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help)
+    if instance:
+        parser.add_argument("instance", help="path to a JSON instance file, or - for stdin")
+    parser.add_argument("--format", choices=("json", "csv", "text"), default=fmt,
+                        help=f"output format (default {fmt})")
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def _add_budget_workers(parser) -> None:
@@ -390,62 +379,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bounds = sub.add_parser("bounds", help="all applicable TV bounds for an instance")
-    _add_instance(p_bounds)
+    p_bounds = _add_command(sub, "bounds", cmd_bounds,
+                            "all applicable TV bounds for an instance")
     p_bounds.add_argument("--exact", action="store_true",
                           help="also compute the exact TV when within budget")
     _add_budget_workers(p_bounds)
-    _add_format(p_bounds, "json")
-    p_bounds.set_defaults(handler=cmd_bounds)
+    _add_budget_workers(_add_command(
+        sub, "exact", cmd_exact, "exact TV by meet-in-the-middle over the joint support"))
 
-    p_exact = sub.add_parser("exact", help="exact TV by meet-in-the-middle over the joint support")
-    _add_instance(p_exact)
-    _add_budget_workers(p_exact)
-    _add_format(p_exact, "json")
-    p_exact.set_defaults(handler=cmd_exact)
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo TV estimate with Hoeffding interval")
-    _add_instance(p_mc)
+    p_mc = _add_command(sub, "mc", cmd_mc, "Monte Carlo TV estimate with Hoeffding interval")
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--confidence", type=float, default=0.95)
     p_mc.add_argument("--seed", type=int, default=0)
-    _add_format(p_mc, "json")
-    p_mc.set_defaults(handler=cmd_mc)
 
-    p_sym = sub.add_parser("symmetrize",
-                           help="symmetrized pair and per-coordinate channels")
-    _add_instance(p_sym)
-    _add_format(p_sym, "json")
-    p_sym.set_defaults(handler=cmd_symmetrize)
+    _add_command(sub, "symmetrize", cmd_symmetrize,
+                 "symmetrized pair and per-coordinate channels")
+    _add_command(sub, "reduce", cmd_reduce, "collapse an instance to a Bernoulli pair")
 
-    p_red = sub.add_parser("reduce", help="collapse an instance to a Bernoulli pair")
-    _add_instance(p_red)
-    _add_format(p_red, "json")
-    p_red.set_defaults(handler=cmd_reduce)
+    for name, handler, help in (
+        ("gap", cmd_gap, "the sqrt(n)-gap construction at given sizes"),
+        ("sweep", cmd_sweep, "exact gap ratios over a range of sizes (CSV)"),
+    ):
+        p_sizes = _add_command(sub, name, handler, help, fmt="csv", instance=False)
+        p_sizes.add_argument("--n", type=int, default=None)
+        p_sizes.add_argument("--n-range", default=None, metavar="RANGE",
+                             help="A:B, A:B:STEP, or a comma list")
 
-    p_gap = sub.add_parser("gap", help="the sqrt(n)-gap construction at given sizes")
-    p_gap.add_argument("--n", type=int, default=None)
-    p_gap.add_argument("--n-range", default=None, metavar="RANGE",
-                       help="A:B, A:B:STEP, or a comma list")
-    _add_format(p_gap, "csv")
-    p_gap.set_defaults(handler=cmd_gap)
-
-    p_sweep = sub.add_parser("sweep",
-                             help="exact gap ratios over a range of sizes (CSV)")
-    p_sweep.add_argument("--n", type=int, default=None)
-    p_sweep.add_argument("--n-range", default=None, metavar="RANGE",
-                         help="A:B, A:B:STEP, or a comma list")
-    _add_format(p_sweep, "csv")
-    p_sweep.set_defaults(handler=cmd_sweep)
-
-    p_low = sub.add_parser("lowther",
-                           help="concave sign-sum comparison for given weights")
+    p_low = _add_command(sub, "lowther", cmd_lowther,
+                         "concave sign-sum comparison for given weights", instance=False)
     p_low.add_argument("--weights", required=True,
                        help="comma list of positive weights")
     p_low.add_argument("--threshold", type=float, required=True)
-    _add_format(p_low, "json")
-    p_low.set_defaults(handler=cmd_lowther)
-
     return parser
 
 
@@ -454,10 +418,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except CliParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InvalidDistributionError, DimensionMismatchError) as exc:
+    except (CliParseError, InvalidDistributionError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationBudgetError as exc:

@@ -85,79 +85,149 @@ class ProbVector:
         return self.params.size
 
 
+def _mass_rows(rows, side: str | None = None) -> tuple:
+    """Validate mass rows into (masses, sizes): a read-only (n, k_max) float64
+    array, each row zero-padded after its k_i masses, and the vector of the k_i.
+
+    Each row must be non-empty, finite and nonnegative with a total within
+    MASS_TOLERANCE of 1, and is divided by that computed total. Errors name a
+    row as ``side[i]``; ``side=None`` is the one row of a FiniteDist.
+    """
+    try:
+        masses = np.array(rows, dtype=np.float64)
+        if masses.ndim not in (1, 2):
+            raise ValueError(f"{masses.ndim}-D rows")
+        masses = masses[:, None] if masses.ndim == 1 else masses  # scalar rows: one state
+        sizes = np.full(len(masses), masses.shape[1])
+    except (TypeError, ValueError):  # rows of different lengths
+        try:
+            sizes = np.fromiter(map(len, rows), np.int64)
+            masses = np.zeros((sizes.size, sizes.max()))
+            masses[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(
+                rows, dtype=np.float64)
+        except (TypeError, ValueError):
+            message = "a non-empty 1-D vector" if side is None else "a sequence of 1-D mass rows"
+            raise InvalidDistributionError(f"{side or 'masses'} must be {message}") from None
+    negative = (masses < 0.0).any(axis=1)
+    with np.errstate(invalid="ignore"):
+        totals = masses.sum(axis=1)
+    # A non-finite mass makes its row's total non-finite, which fails the test.
+    bad = (sizes == 0) | negative | ~(np.abs(totals - 1.0) <= MASS_TOLERANCE)
+    if bad.any():
+        i = int(np.argmax(bad))
+        j = int(np.argmax(masses[i] < 0.0)) if negative[i] else 0
+        message = ("masses must be a non-empty 1-D vector" if sizes[i] == 0
+                   else "masses contains non-finite entries" if not np.isfinite(masses[i]).all()
+                   else f"masses[{j}] = {masses[i, j]!r} is negative" if negative[i]
+                   else f"masses sum to {float(totals[i])!r}, not 1")
+        raise InvalidDistributionError(message if side is None else f"{side}[{i}]: {message}")
+    masses /= totals[:, None]
+    return _readonly(masses), _readonly(sizes)
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class FiniteDist:
     """A probability mass function on a finite support {0, ..., k-1}.
 
     Masses must be nonnegative and sum to 1 within MASS_TOLERANCE; accepted
-    inputs are renormalized to sum exactly to the computed total.
+    inputs are renormalized to sum exactly to the computed total, as each row
+    of a FiniteProductPair is. ``np.asarray(dist)`` gives the read-only masses.
     """
 
     masses: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.masses, dtype=np.float64))
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidDistributionError("masses must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidDistributionError("masses contains non-finite entries")
-        if np.any(arr < 0.0):
-            i = int(np.argmax(arr < 0.0))
-            raise InvalidDistributionError(f"masses[{i}] = {arr[i]!r} is negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > MASS_TOLERANCE:
-            raise InvalidDistributionError(f"masses sum to {total!r}, not 1")
-        object.__setattr__(self, "masses", arr / total)
+        object.__setattr__(self, "masses", _mass_rows([self.masses])[0][0])
 
     def __len__(self) -> int:
         return self.masses.size
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.masses, dtype=dtype, copy=copy)
 
-@dataclass(frozen=True)
+
+def _unpadded(masses: np.ndarray, sizes: np.ndarray) -> list:
+    """The rows of a padded mass array, each cut to its support size."""
+    return [row[:k] for row, k in zip(masses, sizes.tolist())]
+
+
+def _valid_dist(masses: np.ndarray) -> FiniteDist:
+    """A FiniteDist around masses that are valid already, taken as they are."""
+    dist = object.__new__(FiniteDist)
+    dist.__dict__["masses"] = masses
+    return dist
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class FiniteProductPair:
-    """Two product distributions given by their per-coordinate mass functions."""
+    """Two product distributions as zero-padded arrays of per-coordinate masses.
 
-    p_side: tuple
-    q_side: tuple
+    Coordinate i has support {0, ..., k_i - 1}, k_i = ``support_sizes[i]``, and
+    marginals ``p_masses[i, :k_i]`` and ``q_masses[i, :k_i]``; the rest of each
+    (n, k_max) row is 0. The arrays are read-only. Each side is given as mass
+    rows of any lengths (lists, arrays, FiniteDist) or as one 2-D array; each row
+    is validated like a FiniteDist, and errors name the side (P or Q) and the
+    coordinate. ``p_side`` and ``q_side`` give the rows back as FiniteDist.
+    """
 
-    def __post_init__(self):
-        p_side = tuple(d if isinstance(d, FiniteDist) else FiniteDist(d) for d in self.p_side)
-        q_side = tuple(d if isinstance(d, FiniteDist) else FiniteDist(d) for d in self.q_side)
-        if len(p_side) != len(q_side):
+    p_masses: np.ndarray
+    q_masses: np.ndarray
+    support_sizes: np.ndarray
+
+    def __init__(self, p_side, q_side):
+        p_masses, sizes = _mass_rows(p_side, "P")
+        q_masses, q_sizes = _mass_rows(q_side, "Q")
+        if sizes.size != q_sizes.size:
             raise DimensionMismatchError(
-                f"p_side has {len(p_side)} coordinates, q_side has {len(q_side)}"
+                f"p_side has {sizes.size} coordinates, q_side has {q_sizes.size}"
             )
-        if not p_side:
+        if not sizes.size:
             raise InvalidDistributionError("a product pair needs at least one coordinate")
-        for i, (dp, dq) in enumerate(zip(p_side, q_side)):
-            if len(dp) != len(dq):
-                raise InvalidDistributionError(
-                    f"coordinate {i}: support sizes differ ({len(dp)} vs {len(dq)})"
-                )
-        object.__setattr__(self, "p_side", p_side)
-        object.__setattr__(self, "q_side", q_side)
+        if np.any(sizes != q_sizes):
+            i = int(np.argmax(sizes != q_sizes))
+            raise InvalidDistributionError(
+                f"coordinate {i}: support sizes differ ({sizes[i]} vs {q_sizes[i]})"
+            )
+        self.__dict__.update(p_masses=p_masses, q_masses=q_masses, support_sizes=sizes)
+
+    def _take(self, index) -> "FiniteProductPair":
+        """The pair on the coordinates an index selects, without validating again."""
+        sub = object.__new__(FiniteProductPair)
+        sub.__dict__.update((name, _readonly(getattr(self, name)[index]))
+                            for name in ("p_masses", "q_masses", "support_sizes"))
+        return sub
 
     @property
     def n(self) -> int:
-        return len(self.p_side)
+        return self.support_sizes.size
 
     @property
-    def support_sizes(self) -> tuple:
-        return tuple(len(d) for d in self.p_side)
+    def p_side(self) -> tuple:
+        return tuple(map(_valid_dist, _unpadded(self.p_masses, self.support_sizes)))
+
+    @property
+    def q_side(self) -> tuple:
+        return tuple(map(_valid_dist, _unpadded(self.q_masses, self.support_sizes)))
 
     def joint_support(self) -> int:
-        return math.prod(self.support_sizes)
+        # Python ints: an int64 product wraps to 0 at 64 two-point coordinates.
+        return math.prod(self.support_sizes.tolist())
 
     @classmethod
     def from_bernoulli(cls, p, q) -> "FiniteProductPair":
         """Two-point encoding of a Bernoulli pair; state 1 carries the parameter."""
-        pa, qa = _params(p), _params(q)
-        if pa.size != qa.size:
-            raise DimensionMismatchError(f"p has length {pa.size}, q has length {qa.size}")
-        return cls(
-            tuple(FiniteDist((1.0 - x, x)) for x in pa),
-            tuple(FiniteDist((1.0 - x, x)) for x in qa),
-        )
+        pa, qa = _matched_params(p, q)
+        return cls(np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
+
+
+def _as_pair(pair) -> FiniteProductPair:
+    """A FiniteProductPair as given, or built from a (p_side, q_side) tuple."""
+    return pair if isinstance(pair, FiniteProductPair) else FiniteProductPair(*pair)
 
 
 @dataclass(frozen=True)
@@ -316,15 +386,15 @@ def exact_tv_general(pair: FiniteProductPair, *, budget_log2: int | None = None,
     about its square root. ``workers`` is accepted and does not change the
     result.
     """
-    if not isinstance(pair, FiniteProductPair):
-        pair = FiniteProductPair(*pair)
+    pair = _as_pair(pair)
     total_support = pair.joint_support()
     budget = DEFAULT_BUDGET_LOG2 if budget_log2 is None else int(budget_log2)
     if total_support > (1 << budget):
         raise EnumerationBudgetError(
             f"joint support {total_support} exceeds the 2^{budget} enumeration budget"
         )
-    return _exact_tv([d.masses for d in pair.p_side], [d.masses for d in pair.q_side])
+    return _exact_tv(_unpadded(pair.p_masses, pair.support_sizes),
+                     _unpadded(pair.q_masses, pair.support_sizes))
 
 
 def _binomial_pmf(n: int, prob: float) -> np.ndarray:
@@ -353,13 +423,9 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
 
 def marginal_tv(pair: FiniteProductPair) -> MarginalTV:
     """Per-coordinate TV distances of a product pair."""
-    if not isinstance(pair, FiniteProductPair):
-        pair = FiniteProductPair(*pair)
-    deltas = [
-        0.5 * float(np.abs(dp.masses - dq.masses).sum())
-        for dp, dq in zip(pair.p_side, pair.q_side)
-    ]
-    return MarginalTV(np.minimum(1.0, np.asarray(deltas)))
+    pair = _as_pair(pair)
+    deltas = 0.5 * np.abs(pair.p_masses - pair.q_masses).sum(axis=1)
+    return MarginalTV(np.minimum(1.0, deltas))
 
 
 def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,

@@ -8,43 +8,43 @@ never increases the joint TV.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import FiniteProductPair, ProbVector
+from .core import FiniteProductPair, ProbVector, _as_pair
 
 __all__ = ["ScheffeReduction", "scheffe_reduce"]
 
 
 @dataclass(frozen=True)
 class ScheffeReduction:
-    """Bernoulli pair equivalent to a product pair, with the witness sets.
+    """Bernoulli pair equivalent to a product pair, with the favored states.
 
-    ``witness_sets[i]`` holds the states where the first marginal strictly
-    outweighs the second; ``p.params[i]`` and ``q.params[i]`` are the two
-    marginals' masses on that set, so p >= q coordinate-wise and p - q equals
-    the marginal TV sequence.
+    ``favored`` is the read-only (n, k_max) boolean mask of the states where
+    the first marginal strictly outweighs the second; padding states never
+    are. ``p.params[i]`` and ``q.params[i]`` are the two marginals' masses on
+    coordinate i's favored set, so p >= q coordinate-wise and p - q equals the
+    marginal TV sequence. ``witness_sets[i]`` lists those states as a tuple of
+    ints; it is built from the mask on first use.
     """
 
     p: ProbVector
     q: ProbVector
-    witness_sets: tuple
+    favored: np.ndarray
+
+    @cached_property
+    def witness_sets(self) -> tuple:
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.favored)
 
 
 def scheffe_reduce(pair: FiniteProductPair) -> ScheffeReduction:
     """Reduce a product pair to the Bernoulli pair over its witness sets."""
-    if not isinstance(pair, FiniteProductPair):
-        pair = FiniteProductPair(*pair)
-    p_vals = []
-    q_vals = []
-    witnesses = []
-    for dp, dq in zip(pair.p_side, pair.q_side):
-        favored = np.flatnonzero(dp.masses > dq.masses)
-        p_vals.append(float(dp.masses[favored].sum()))
-        q_vals.append(float(dq.masses[favored].sum()))
-        witnesses.append(tuple(int(i) for i in favored))
+    pair = _as_pair(pair)
+    favored = pair.p_masses > pair.q_masses
+    favored.flags.writeable = False
     return ScheffeReduction(
-        p=ProbVector(np.asarray(p_vals)),
-        q=ProbVector(np.asarray(q_vals)),
-        witness_sets=tuple(witnesses),
+        p=ProbVector(np.where(favored, pair.p_masses, 0.0).sum(axis=1)),
+        q=ProbVector(np.where(favored, pair.q_masses, 0.0).sum(axis=1)),
+        favored=favored,
     )

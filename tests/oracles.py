@@ -8,8 +8,9 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import rel_entr
 
-from prodtv import FiniteProductPair
+from prodtv import FiniteDist, FiniteProductPair
 
 
 def tv_bernoulli_brute(p, q):
@@ -61,6 +62,36 @@ def tv_fraction_bernoulli(p, q):
     def exact(params):
         return [[1 - Fraction(float(x)), Fraction(float(x))] for x in params]
     return _tv_rational(exact(p), exact(q))
+
+
+def loop_reference(p_rows, q_rows):
+    """Marginal TV, Scheffe reduction and Hellinger and KL brackets, one coordinate
+    at a time in plain Python loops, each row normalized as a FiniteDist."""
+    p_rows = [FiniteDist(row).masses for row in p_rows]
+    q_rows = [FiniteDist(row).masses for row in q_rows]
+    deltas, red_p, red_q, witnesses = [], [], [], []
+    affinity, kl, p_min, q_min = 1.0, 0.0, 1.0, 1.0
+    for dp, dq in zip(p_rows, q_rows):
+        deltas.append(min(1.0, 0.5 * float(np.abs(dp - dq).sum())))
+        favored = np.flatnonzero(dp > dq)
+        red_p.append(float(dp[favored].sum()))
+        red_q.append(float(dq[favored].sum()))
+        witnesses.append(tuple(int(i) for i in favored))
+        diff = np.sqrt(dp) - np.sqrt(dq)
+        affinity *= 1.0 - 0.5 * float((diff * diff).sum())
+        kl += float(rel_entr(dp, dq).sum())
+        p_min *= float(dp.min())
+        q_min *= float(dq.min())
+    h_sq = 2.0 * (1.0 - affinity)
+    hellinger = (0.5 * h_sq, np.sqrt(h_sq) * np.sqrt(max(0.0, 1.0 - 0.25 * h_sq)))
+    if np.isinf(kl):
+        kl_pair = (None, 1.0)
+    elif not 0.0 < p_min < 0.5:
+        kl_pair = (None, min(1.0, np.sqrt(0.5 * kl)))
+    else:
+        kl_pair = (kl / (2.0 * np.log(1.0 / min(p_min, q_min))), min(1.0, np.sqrt(0.5 * kl)))
+    return {"deltas": deltas, "p": np.clip(red_p, 0.0, 1.0), "q": np.clip(red_q, 0.0, 1.0),
+            "witness_sets": tuple(witnesses), "hellinger": hellinger, "kl": kl_pair}
 
 
 def joint_masses(rows):

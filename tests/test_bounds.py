@@ -5,7 +5,7 @@ import pytest
 from scipy.special import rel_entr
 
 import prodtv as tv
-from oracles import joint_masses, random_bernoulli_pair, random_product_pair
+from oracles import joint_masses, loop_reference, random_bernoulli_pair, random_product_pair
 
 
 class TestConstants:
@@ -293,7 +293,68 @@ class TestBoundsReport:
         assert grown.upper_symmetric == pytest.approx(base.upper_symmetric, abs=1e-12)
         assert grown.upper_affinity == pytest.approx(base.upper_affinity, abs=1e-12)
 
+    def test_bound_dicts_follow_the_table_order(self):
+        report = tv.bounds_report(tv.FiniteProductPair.from_bernoulli([0.7, 0.4], [0.3, 0.6]))
+        assert list(report.lower_bounds()) == ["trivial", "l2", "hellinger", "kl"]
+        assert list(report.upper_bounds()) == ["trivial", "hellinger", "pinsker",
+                                               "symmetric", "affinity"]
+        identical = tv.bounds_report(tv.FiniteProductPair.from_bernoulli([0.3], [0.3]))
+        assert list(identical.lower_bounds()) == ["trivial", "l2", "hellinger"]
+        assert set(identical.upper_bounds().values()) == {0.0}
+        # Ties go to the earliest bound of the table.
+        assert identical.best_lower_source == identical.best_upper_source == "trivial"
+
     def test_ratio(self):
         pair = tv.FiniteProductPair.from_bernoulli([0.9], [0.2])
         report = tv.bounds_report(pair)
         assert report.ratio == pytest.approx(report.best_upper / report.best_lower)
+
+
+def _random_rows(rng, n, k_max):
+    """Rows of 2 to k_max states; Q tilts P, and some states of P or Q are 0."""
+    p_rows, q_rows = [], []
+    for k in rng.integers(2, k_max + 1, size=n):
+        p = rng.random(int(k))
+        if rng.random() < 0.2:
+            p[int(rng.integers(k))] = 0.0
+        q = p * np.exp(rng.normal(0.0, 0.5, int(k))) if rng.random() < 0.8 else p.copy()
+        j = int(rng.integers(k))
+        if rng.random() < 0.02 and q.sum() > q[j]:
+            q[j] = 0.0
+        p_rows.append(p / p.sum())
+        q_rows.append(q / q.sum())
+    return p_rows, q_rows
+
+
+class TestArrayFormMatchesLoops:
+    """The array forms against per-coordinate loops over the same rows."""
+
+    def check(self, p_rows, q_rows, abs_tol):
+        pair = tv.FiniteProductPair(p_rows, q_rows)
+        ref = loop_reference(p_rows, q_rows)
+        red = tv.scheffe_reduce(pair)
+        assert red.witness_sets == ref["witness_sets"]
+        got = [tv.marginal_tv(pair).deltas, red.p.params, red.q.params,
+               tv.hellinger_bracket(pair), tv.kl_bracket(pair)]
+        want = [ref["deltas"], ref["p"], ref["q"], ref["hellinger"], ref["kl"]]
+        for a, b in zip(got, want):
+            a = [np.nan if x is None else x for x in a]
+            b = [np.nan if x is None else x for x in b]
+            if abs_tol == 0.0:
+                assert np.array_equal(a, b, equal_nan=True)
+            else:
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=abs_tol)
+
+    def test_bit_identical_up_to_seven_states(self):
+        # Rows narrower than 8 are summed left to right either way.
+        rng = np.random.default_rng(330)
+        for _ in range(300):
+            self.check(*_random_rows(rng, int(rng.integers(1, 41)), 7), abs_tol=0.0)
+
+    def test_wider_rows_within_rounding(self):
+        # Numpy sums 8 or more values pairwise, so a zero-padded row may be
+        # added in another order than the row alone: a few units of 2**-53
+        # per sum, far inside this tolerance.
+        rng = np.random.default_rng(331)
+        for _ in range(200):
+            self.check(*_random_rows(rng, int(rng.integers(1, 41)), 12), abs_tol=1e-13)

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from prodtv import exact_tv_bernoulli
 from prodtv.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_PARSE, main
 
 
@@ -266,3 +268,161 @@ class TestLowtherCommand:
     def test_bad_weight_list_is_parse_error(self, capsys):
         code, _, _ = run(capsys, ["lowther", "--weights", "1,a", "--threshold", "1"])
         assert code == EXIT_PARSE
+
+
+# Fixed instances whose CLI output is pinned byte for byte below.
+# BERNOULLI_EDGES has parameters of 0 and 1 and an identical (0, 0)
+# coordinate; GENERAL_MIXED has supports 2, 3 and 4 and one zero mass;
+# SYMMETRIC_PADDED is symmetric (q = 1 - p) apart from one identical coordinate.
+BERNOULLI_EDGES = {"p": [0.0, 1.0, 0.3, 0.75, 0.0], "q": [0.2, 0.9, 0.6, 0.5, 0.0]}
+GENERAL_MIXED = {"P": [[0.25, 0.75], [0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]],
+                 "Q": [[0.5, 0.5], [0.0, 0.6, 0.4], [0.25, 0.25, 0.25, 0.25]]}
+SYMMETRIC_PADDED = {"p": [0.7, 0.4, 0.55, 0.3], "q": [0.3, 0.6, 0.45, 0.3]}
+
+BOUNDS_BERNOULLI_EDGES = """\
+{
+  "schema_version": 1,
+  "kind": "bernoulli",
+  "n": 5,
+  "delta_linf": 0.29999999999999993,
+  "delta_l2": 0.4499999999999999,
+  "delta_l1": 0.8499999999999999,
+  "lower_trivial": 0.29999999999999993,
+  "lower_l2": 0.08090999999999998,
+  "lower_hellinger": 0.21856708217470955,
+  "lower_kl": null,
+  "upper_trivial": 0.8499999999999999,
+  "upper_hellinger": 0.623989258672818,
+  "upper_pinsker": 0.5670551120922838,
+  "upper_symmetric": null,
+  "upper_affinity": null,
+  "best_lower": 0.29999999999999993,
+  "best_lower_source": "trivial",
+  "best_upper": 0.5670551120922838,
+  "best_upper_source": "pinsker",
+  "ratio": 1.8901837069742797
+}
+"""
+
+BOUNDS_GENERAL_MIXED = """\
+{
+  "schema_version": 1,
+  "kind": "general",
+  "n": 3,
+  "delta_linf": 0.29999999999999993,
+  "delta_l2": 0.43874821936960606,
+  "delta_l1": 0.7499999999999999,
+  "lower_trivial": 0.29999999999999993,
+  "lower_l2": 0.07888692984265516,
+  "lower_hellinger": 0.1819473047994704,
+  "lower_kl": null,
+  "upper_trivial": 0.7499999999999999,
+  "upper_hellinger": 0.5751432759540439,
+  "upper_pinsker": 1.0,
+  "upper_symmetric": null,
+  "upper_affinity": null,
+  "best_lower": 0.29999999999999993,
+  "best_lower_source": "trivial",
+  "best_upper": 0.5751432759540439,
+  "best_upper_source": "hellinger",
+  "ratio": 1.9171442531801468
+}
+"""
+
+BOUNDS_SYMMETRIC_PADDED_EXACT = """\
+{
+  "schema_version": 1,
+  "kind": "bernoulli",
+  "n": 4,
+  "delta_linf": 0.39999999999999997,
+  "delta_l2": 0.45825756949558394,
+  "delta_l1": 0.7,
+  "lower_trivial": 0.39999999999999997,
+  "lower_l2": 0.08239471099530599,
+  "lower_hellinger": 0.1065034974886584,
+  "lower_kl": 0.07538775742937806,
+  "upper_trivial": 0.7,
+  "upper_hellinger": 0.4490701504219582,
+  "upper_pinsker": 0.4690838066501174,
+  "upper_symmetric": 0.4582575694955839,
+  "upper_affinity": 0.44726087317113306,
+  "best_lower": 0.39999999999999997,
+  "best_lower_source": "trivial",
+  "best_upper": 0.44726087317113306,
+  "best_upper_source": "affinity",
+  "ratio": 1.1181521829278327,
+  "exact_tv": 0.39999999999999997
+}
+"""
+
+REDUCE_GENERAL_MIXED = """\
+{
+  "schema_version": 1,
+  "kind": "general",
+  "n": 3,
+  "p": [
+    0.75,
+    0.7,
+    0.7
+  ],
+  "q": [
+    0.5,
+    0.4,
+    0.5
+  ],
+  "witness_sets": [
+    [
+      1
+    ],
+    [
+      0,
+      2
+    ],
+    [
+      2,
+      3
+    ]
+  ]
+}
+"""
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("doc, command, expected", [
+        (BERNOULLI_EDGES, ["bounds"], BOUNDS_BERNOULLI_EDGES),
+        (GENERAL_MIXED, ["bounds"], BOUNDS_GENERAL_MIXED),
+        (SYMMETRIC_PADDED, ["bounds", "--exact"], BOUNDS_SYMMETRIC_PADDED_EXACT),
+        (GENERAL_MIXED, ["reduce"], REDUCE_GENERAL_MIXED),
+    ], ids=["bounds-bernoulli-edges", "bounds-general-mixed",
+            "bounds-symmetric-padded-exact", "reduce-general-mixed"])
+    def test_stdout_bytes(self, tmp_path, capsys, doc, command, expected):
+        path = write_instance(tmp_path, doc)
+        code, out, err = run(capsys, [command[0], path, *command[1:], "--format", "json"])
+        assert code == 0
+        assert err == ""
+        assert out == expected
+
+
+class TestExactBracketCheck:
+    def near_identical(self, tmp_path):
+        # TV is about 1.9e-8, but the Hellinger affinity product rounds to 1,
+        # so the report's best upper bound comes out as 0.
+        n = 20
+        p = np.linspace(0.1, 0.9, n)
+        q = p + 2e-8 / math.sqrt(n) * np.resize((1.0, -1.0), n)
+        return write_instance(tmp_path, {"p": p.tolist(), "q": q.tolist()}), p, q
+
+    def test_violated_bracket_is_domain_error(self, tmp_path, capsys):
+        path, p, q = self.near_identical(tmp_path)
+        exact = exact_tv_bernoulli(p, q)
+        code, out, err = run(capsys, ["bounds", path, "--exact"])
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "best_upper 0.0" in err
+        assert repr(exact) in err
+
+    def test_bounds_alone_still_report(self, tmp_path, capsys):
+        path, _, _ = self.near_identical(tmp_path)
+        code, out, _ = run(capsys, ["bounds", path])
+        assert code == 0
+        assert json.loads(out)["best_upper"] == 0.0

@@ -365,6 +365,54 @@ class TestValidation:
             tv.FiniteProductPair((), ())
 
 
+class TestArrayForm:
+    def test_padded_read_only_arrays(self):
+        pair = tv.FiniteProductPair(([0.2, 0.3, 0.5], [0.9, 0.1]),
+                                    ([0.5, 0.25, 0.25], [0.5, 0.5]))
+        assert pair.p_masses.shape == pair.q_masses.shape == (2, 3)
+        assert pair.support_sizes.tolist() == [3, 2]
+        assert pair.p_masses[1, 2] == pair.q_masses[1, 2] == 0.0
+        for arr in (pair.p_masses, pair.q_masses, pair.support_sizes):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            pair.p_masses[0, 0] = 1.0
+
+    def test_sides_round_trip_bit_for_bit(self):
+        rng = np.random.default_rng(120)
+        pair = random_product_pair(rng, n_max=6, support_max=5)
+        for side, masses in ((pair.p_side, pair.p_masses), (pair.q_side, pair.q_masses)):
+            for i, dist in enumerate(side):
+                assert dist.masses.tobytes() == masses[i, :len(dist)].tobytes()
+                assert not masses[i, len(dist):].any()
+
+    def test_rows_equal_one_by_one_validation(self):
+        rng = np.random.default_rng(121)
+        rows = [rng.random(int(k)) for k in rng.integers(1, 8, size=40)]
+        rows = [row / row.sum() for row in rows]
+        pair = tv.FiniteProductPair(rows, rows)
+        for i, row in enumerate(rows):
+            expected = tv.FiniteDist(row).masses
+            assert pair.p_masses[i, :row.size].tobytes() == expected.tobytes()
+
+    def test_errors_name_side_and_coordinate(self):
+        with pytest.raises(tv.InvalidDistributionError, match=r"Q\[1\]: masses sum to"):
+            tv.FiniteProductPair(([0.5, 0.5], [1.0]), ([0.5, 0.5], [0.7]))
+        with pytest.raises(tv.InvalidDistributionError, match=r"P\[2\]: masses\[1\]"):
+            tv.FiniteProductPair(([1.0], [1.0], [1.2, -0.2]), ([1.0], [1.0], [0.5, 0.5]))
+        with pytest.raises(tv.InvalidDistributionError, match=r"P\[0\]: masses contains"):
+            tv.FiniteProductPair(([float("nan"), 1.0],), ([0.5, 0.5],))
+        with pytest.raises(tv.InvalidDistributionError, match="sequence of 1-D mass rows"):
+            tv.FiniteProductPair(([0.5, 0.5],), 7)
+
+    def test_joint_support_beyond_int64(self):
+        # An int64 product of 64 twos wraps to 0, which would pass any budget.
+        pair = tv.FiniteProductPair.from_bernoulli([0.5] * 64, [0.4] * 64)
+        assert pair.joint_support() == 2 ** 64
+        assert type(pair.joint_support()) is int
+        with pytest.raises(tv.EnumerationBudgetError):
+            tv.exact_tv_general(pair)
+
+
 class TestMonteCarlo:
     def test_identical_pair_is_exactly_zero(self):
         rng = np.random.default_rng(110)

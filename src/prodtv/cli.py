@@ -30,15 +30,14 @@ from .core import (
     InvalidDistributionError,
     ProbVector,
     exact_tv_bernoulli,
-    exact_tv_equal_marginals,
     exact_tv_general,
     mc_tv_estimate,
 )
 from .extremal import (
     LOWTHER_RATIO_BOUND,
     RademacherInstance,
+    _gap_exact_tvs,
     gap_instance,
-    gap_ratio_exact,
     lowther_check,
 )
 from .reduce import scheffe_reduce
@@ -261,7 +260,7 @@ def cmd_symmetrize(args) -> int:
     doc["p_hat"] = [float(x) for x in sym.p_hat.params]
     doc["q_hat"] = [float(x) for x in sym.q_hat.params]
     # Channel rows are ordered (input 1, input 0); columns (output 1, output 0).
-    doc["channels"] = [[[float(v) for v in row] for row in ch.rows] for ch in channels]
+    doc["channels"] = [ch.rows.tolist() for ch in channels]
     _emit_scalar_doc(doc, args.format)
     return 0
 
@@ -325,10 +324,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for n in _parse_n_values(args):
         inst = gap_instance(n)
-        ratio = gap_ratio_exact(n)
-        tv_prime_exact = exact_tv_equal_marginals(
-            n, float(inst.p_prime.params[0]), float(inst.q_prime.params[0])
-        )
+        tv_exact, tv_prime_exact = _gap_exact_tvs(n)
+        ratio = tv_exact / tv_prime_exact
         rows.append((inst.n, inst.tv_pq, tv_prime_exact, inst.tv_pq_prime_upper,
                      ratio, inst.ratio_lower, ratio / math.sqrt(inst.n)))
     _emit_rows(SWEEP_COLUMNS, rows, args.format)

@@ -156,11 +156,11 @@ def _unpadded(masses: np.ndarray, sizes: np.ndarray) -> list:
     return [row[:k] for row, k in zip(masses, sizes.tolist())]
 
 
-def _valid_dist(masses: np.ndarray) -> FiniteDist:
-    """A FiniteDist around masses that are valid already, taken as they are."""
-    dist = object.__new__(FiniteDist)
-    dist.__dict__["masses"] = masses
-    return dist
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass around fields that are valid already."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -197,10 +197,9 @@ class FiniteProductPair:
 
     def _take(self, index) -> "FiniteProductPair":
         """The pair on the coordinates an index selects, without validating again."""
-        sub = object.__new__(FiniteProductPair)
-        sub.__dict__.update((name, _readonly(getattr(self, name)[index]))
-                            for name in ("p_masses", "q_masses", "support_sizes"))
-        return sub
+        return _unchecked(FiniteProductPair, **{
+            name: _readonly(getattr(self, name)[index])
+            for name in ("p_masses", "q_masses", "support_sizes")})
 
     @property
     def n(self) -> int:
@@ -208,11 +207,13 @@ class FiniteProductPair:
 
     @property
     def p_side(self) -> tuple:
-        return tuple(map(_valid_dist, _unpadded(self.p_masses, self.support_sizes)))
+        return tuple(_unchecked(FiniteDist, masses=row)
+                     for row in _unpadded(self.p_masses, self.support_sizes))
 
     @property
     def q_side(self) -> tuple:
-        return tuple(map(_valid_dist, _unpadded(self.q_masses, self.support_sizes)))
+        return tuple(_unchecked(FiniteDist, masses=row)
+                     for row in _unpadded(self.q_masses, self.support_sizes))
 
     def joint_support(self) -> int:
         # Python ints: an int64 product wraps to 0 at 64 two-point coordinates.
@@ -284,6 +285,13 @@ def _matched_params(p, q) -> tuple:
     if pa.size != qa.size:
         raise DimensionMismatchError(f"p has length {pa.size}, q has length {qa.size}")
     return pa, qa
+
+
+def _positive_int(value, name: str) -> int:
+    """An int (or numpy integer) of at least 1 as a Python int; ValueError otherwise."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _tree_sum(values) -> float:
@@ -412,12 +420,11 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     collapses to a binomial one; coefficients are taken in log space. The tests
     hold it to the exact kernel's error bound against rational TV for n <= 12.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _positive_int(n, "n")
     for name, value in (("p", p), ("q", q)):
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"{name} = {value!r} outside [0, 1]")
-    diff = np.abs(_binomial_pmf(int(n), float(p)) - _binomial_pmf(int(n), float(q)))
+    diff = np.abs(_binomial_pmf(n, float(p)) - _binomial_pmf(n, float(q)))
     return min(1.0, 0.5 * float(diff.sum()))
 
 
@@ -439,8 +446,7 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
     a pure function of (seed, samples).
     """
     pa, qa = _matched_params(p, q)
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    samples = _positive_int(samples, "samples")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
 
@@ -464,4 +470,4 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
     value = min(1.0, _tree_sum(batch_sums) / samples)
     half_width = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
     return TVEstimate(value=value, half_width=half_width,
-                      confidence=float(confidence), samples=int(samples))
+                      confidence=float(confidence), samples=samples)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProbVector, exact_tv_equal_marginals
+from .core import ProbVector, _positive_int, exact_tv_equal_marginals
 
 __all__ = [
     "GapInstance",
@@ -83,9 +83,7 @@ def gap_instance(n: int) -> GapInstance:
     tv_pq uses the closed form 1 - (1 - 1/n)**n; the symmetric pair's TV is
     reported through its upper bound n**-0.5.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _positive_int(n, "n")
     inv = 1.0 / n
     tv_pq = 1.0 - (1.0 - inv) ** n
     tv_pq_prime_upper = n ** -0.5
@@ -101,18 +99,21 @@ def gap_instance(n: int) -> GapInstance:
     )
 
 
-def gap_ratio_exact(n: int) -> float:
-    """Exact TV ratio of the two gap pairs.
+def _gap_exact_tvs(n: int) -> tuple:
+    """Exact TVs of the two gap pairs, (TV(p, q), TV(p', q')).
 
     Both pairs have constant coordinates, so the O(n) equal-marginal path
     applies and n can be large.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _positive_int(n, "n")
     inv = 1.0 / n
-    numerator = exact_tv_equal_marginals(n, inv, 0.0)
-    denominator = exact_tv_equal_marginals(n, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv)
+    return (exact_tv_equal_marginals(n, inv, 0.0),
+            exact_tv_equal_marginals(n, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv))
+
+
+def gap_ratio_exact(n: int) -> float:
+    """Exact TV ratio of the two gap pairs, TV(p, q) / TV(p', q')."""
+    numerator, denominator = _gap_exact_tvs(n)
     return numerator / denominator
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidDistributionError, ProbVector, _matched_params
+from .core import InvalidDistributionError, ProbVector, _matched_params, _unchecked
 
 __all__ = ["SymmetrizedPair", "Channel2x2", "symmetrize", "channel_matrix",
            "apply_channel_product"]
@@ -29,6 +29,22 @@ class SymmetrizedPair:
     q_hat: ProbVector
 
 
+def _valid_stack(rows) -> np.ndarray:
+    """Check a stack of 2x2 channels at once; errors name the first bad channel."""
+    stack = np.asarray(rows, dtype=np.float64)
+    if stack.shape[1:] != (2, 2):
+        raise InvalidDistributionError(f"rows must be 2x2, got shape {stack.shape[1:]}")
+    outside = ((stack < 0.0) | (stack > 1.0)).any(axis=(1, 2))
+    if outside.any():
+        raise InvalidDistributionError(
+            f"channel entries outside [0, 1]: {stack[outside][0]!r}")
+    sums = stack.sum(axis=2)
+    off = ~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE).all(axis=1)
+    if off.any():
+        raise InvalidDistributionError(f"channel rows sum to {sums[off][0]!r}, not 1")
+    return stack
+
+
 @dataclass(frozen=True)
 class Channel2x2:
     """A row-stochastic 2x2 transition matrix on {0, 1}.
@@ -41,19 +57,32 @@ class Channel2x2:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.shape != (2, 2):
-            raise InvalidDistributionError(f"rows must be 2x2, got shape {rows.shape}")
-        if np.any(rows < 0.0) or np.any(rows > 1.0):
-            raise InvalidDistributionError(f"channel entries outside [0, 1]: {rows!r}")
-        sums = rows.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE):
-            raise InvalidDistributionError(f"channel rows sum to {sums!r}, not 1")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _valid_stack([self.rows])[0])
 
     def push_prob_one(self, prob_one: float) -> float:
         """Mass at 1 after sending Ber(prob_one) through the channel."""
         return prob_one * self.rows[0, 0] + (1.0 - prob_one) * self.rows[1, 0]
+
+
+def _channel_rows(pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
+    """The (n, 2, 2) rows of ``channel_matrix`` for all coordinates at once.
+
+    Where p < q, the inputs are relabelled (u -> 1 - u) and the rows swapped.
+    One row is deterministic: (1, 0) on top for p + q <= 1, else (0, 1) below.
+    The other is (1/2 + c, 1/2 - c); c carries the branch's sign, and negating
+    a quotient is exact, so each entry rounds as in a one-branch formula.
+    """
+    swap = pa < qa
+    s = np.where(swap, 1.0 - pa, pa) + np.where(swap, 1.0 - qa, qa)
+    low = s <= 1.0
+    with np.errstate(divide="ignore", over="ignore"):  # only in the branch not taken
+        c = np.where(low, -s / (2.0 * (2.0 - s)), (2.0 - s) / (2.0 * s))
+    mixed = np.stack((0.5 + c, 0.5 - c), axis=1)
+    low = low[:, None]
+    rows = np.stack((np.where(low, (1.0, 0.0), mixed), np.where(low, mixed, (0.0, 1.0))),
+                    axis=1)
+    rows[swap] = rows[swap, ::-1]
+    return rows
 
 
 def symmetrize(p, q) -> SymmetrizedPair:
@@ -77,31 +106,19 @@ def channel_matrix(p: float, q: float) -> Channel2x2:
 
     The ratio g/(p-q) simplifies to 1/(1 + |p+q-1|), which is also its
     continuous limit at p = q; that form is used so the matrix is defined on
-    the whole unit square. For p < q the construction relabels both inputs
-    (u -> 1-u), which amounts to swapping the matrix rows.
+    the whole unit square. p and q are read as ``ProbVector`` reads them, with
+    its 1e-12 slack; the matrix is the one-coordinate case of the (n, 2, 2)
+    array that ``apply_channel_product`` builds.
     """
-    for name, value in (("p", p), ("q", q)):
-        if not (0.0 <= value <= 1.0):
-            raise ValueError(f"{name} = {value!r} outside [0, 1]")
-    if p < q:
-        base = channel_matrix(1.0 - p, 1.0 - q)
-        return Channel2x2(base.rows[::-1].copy())
-    s = p + q
-    # One row is always deterministic: which one depends on the sign of s - 1.
-    if s <= 1.0:
-        top = (1.0, 0.0)
-        off = s / (2.0 * (2.0 - s))
-        bottom = (0.5 - off, 0.5 + off)
-    else:
-        off = (2.0 - s) / (2.0 * s)
-        top = (0.5 + off, 0.5 - off)
-        bottom = (0.0, 1.0)
-    return Channel2x2(np.array([top, bottom]))
+    (rows,) = _channel_rows(*_matched_params(p, q))
+    return Channel2x2(rows)
 
 
 def apply_channel_product(pair_p, pair_q) -> tuple:
-    """Symmetrize a pair and return the per-coordinate channels realizing it."""
+    """Symmetrize a pair and return the per-coordinate channels realizing it.
+
+    The channels are the rows of one (n, 2, 2) array, validated once.
+    """
     pa, qa = _matched_params(pair_p, pair_q)
-    sym = symmetrize(pa, qa)
-    channels = tuple(channel_matrix(float(pi), float(qi)) for pi, qi in zip(pa, qa))
-    return sym, channels
+    channels = _valid_stack(_channel_rows(pa, qa))
+    return symmetrize(pa, qa), tuple(_unchecked(Channel2x2, rows=rows) for rows in channels)

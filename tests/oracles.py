@@ -94,6 +94,27 @@ def loop_reference(p_rows, q_rows):
             "witness_sets": tuple(witnesses), "hellinger": hellinger, "kl": kl_pair}
 
 
+def channel_matrix_reference(p, q):
+    """The rows of the symmetrizing channel for one Bernoulli pair, in scalar floats.
+
+    For p < q both inputs are relabelled (u -> 1-u) and the rows swapped; one
+    row is deterministic, which one depends on the sign of p + q - 1.
+    """
+    p, q = float(p), float(q)
+    if p < q:
+        return channel_matrix_reference(1.0 - p, 1.0 - q)[::-1].copy()
+    s = p + q
+    if s <= 1.0:
+        top = (1.0, 0.0)
+        off = s / (2.0 * (2.0 - s))
+        bottom = (0.5 - off, 0.5 + off)
+    else:
+        off = (2.0 - s) / (2.0 * s)
+        top = (0.5 + off, 0.5 - off)
+        bottom = (0.0, 1.0)
+    return np.array([top, bottom])
+
+
 def joint_masses(rows):
     """Full joint mass vector of a product distribution (naive outer product)."""
     joint = np.ones(1)

@@ -278,6 +278,9 @@ BERNOULLI_EDGES = {"p": [0.0, 1.0, 0.3, 0.75, 0.0], "q": [0.2, 0.9, 0.6, 0.5, 0.
 GENERAL_MIXED = {"P": [[0.25, 0.75], [0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]],
                  "Q": [[0.5, 0.5], [0.0, 0.6, 0.4], [0.25, 0.25, 0.25, 0.25]]}
 SYMMETRIC_PADDED = {"p": [0.7, 0.4, 0.55, 0.3], "q": [0.3, 0.6, 0.45, 0.3]}
+# CHANNEL_CASES has coordinates with p < q, p = q, p + q = 1, (0, 1), (1, 1)
+# and (0, 0), which cover both branches of the channel construction.
+CHANNEL_CASES = {"p": [0.2, 0.35, 0.7, 0.0, 1.0, 0.0], "q": [0.65, 0.35, 0.3, 1.0, 1.0, 0.0]}
 
 BOUNDS_BERNOULLI_EDGES = """\
 {
@@ -386,6 +389,108 @@ REDUCE_GENERAL_MIXED = """\
 }
 """
 
+SYMMETRIZE_CHANNEL_CASES = """\
+{
+  "schema_version": 1,
+  "kind": "bernoulli",
+  "n": 6,
+  "gamma_hat": [
+    0.391304347826087,
+    0.0,
+    0.39999999999999997,
+    1.0,
+    0.0,
+    0.0
+  ],
+  "p_hat": [
+    0.6956521739130435,
+    0.5,
+    0.7,
+    1.0,
+    0.5,
+    0.5
+  ],
+  "q_hat": [
+    0.30434782608695654,
+    0.5,
+    0.30000000000000004,
+    0.0,
+    0.5,
+    0.5
+  ],
+  "channels": [
+    [
+      [
+        0.0,
+        1.0
+      ],
+      [
+        0.8695652173913044,
+        0.13043478260869557
+      ]
+    ],
+    [
+      [
+        1.0,
+        0.0
+      ],
+      [
+        0.23076923076923078,
+        0.7692307692307692
+      ]
+    ],
+    [
+      [
+        1.0,
+        0.0
+      ],
+      [
+        0.0,
+        1.0
+      ]
+    ],
+    [
+      [
+        0.0,
+        1.0
+      ],
+      [
+        1.0,
+        0.0
+      ]
+    ],
+    [
+      [
+        0.5,
+        0.5
+      ],
+      [
+        0.0,
+        1.0
+      ]
+    ],
+    [
+      [
+        1.0,
+        0.0
+      ],
+      [
+        0.5,
+        0.5
+      ]
+    ]
+  ]
+}
+"""
+
+SWEEP_RANGE = """\
+n,tv_pq,tv_pq_prime_exact,tv_pq_prime_upper,gap_ratio_exact,ratio_lower,gap_ratio_over_sqrt_n
+1000,0.6323045752290363,0.02522082304378368,0.03162277660168379,25.070735167187248,19.99522632669038,0.79280625743194
+31000,0.6321264924476032,0.004531618879418886,0.005679618342470648,139.4924218641814,111.29735385927826,0.7922637178554583
+61000,0.6321235742542065,0.0032305180912866856,0.00404888165089458,195.6725071266227,156.123005994641,0.7922548236895215
+91000,0.6321225801550577,0.0026449494529200016,0.0033149677206589794,238.9923102146253,190.6874013329453,0.7922517938472
+"""
+
 
 class TestPinnedOutput:
     @pytest.mark.parametrize("doc, command, expected", [
@@ -393,14 +498,22 @@ class TestPinnedOutput:
         (GENERAL_MIXED, ["bounds"], BOUNDS_GENERAL_MIXED),
         (SYMMETRIC_PADDED, ["bounds", "--exact"], BOUNDS_SYMMETRIC_PADDED_EXACT),
         (GENERAL_MIXED, ["reduce"], REDUCE_GENERAL_MIXED),
+        (CHANNEL_CASES, ["symmetrize"], SYMMETRIZE_CHANNEL_CASES),
     ], ids=["bounds-bernoulli-edges", "bounds-general-mixed",
-            "bounds-symmetric-padded-exact", "reduce-general-mixed"])
+            "bounds-symmetric-padded-exact", "reduce-general-mixed",
+            "symmetrize-channel-cases"])
     def test_stdout_bytes(self, tmp_path, capsys, doc, command, expected):
         path = write_instance(tmp_path, doc)
         code, out, err = run(capsys, [command[0], path, *command[1:], "--format", "json"])
         assert code == 0
         assert err == ""
         assert out == expected
+
+    def test_sweep_bytes(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--n-range", "1000:91000:30000"])
+        assert code == 0
+        assert err == ""
+        assert out == SWEEP_RANGE
 
 
 class TestExactBracketCheck:

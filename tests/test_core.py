@@ -313,6 +313,35 @@ class TestEqualMarginals:
             tv.exact_tv_equal_marginals(3, 1.5, 0.5)
 
 
+class TestArgumentChecks:
+    """Every positive-integer and scalar-range check keeps its ValueError message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: tv.exact_tv_equal_marginals(0, 0.5, 0.5),
+         "n must be a positive integer, got 0"),
+        (lambda: tv.exact_tv_equal_marginals(2.0, 0.5, 0.5),
+         "n must be a positive integer, got 2.0"),
+        (lambda: tv.gap_instance(-3), "n must be a positive integer, got -3"),
+        (lambda: tv.gap_ratio_exact("4"), "n must be a positive integer, got '4'"),
+        (lambda: tv.mc_tv_estimate([0.5], [0.5], samples=0),
+         "samples must be a positive integer, got 0"),
+        (lambda: tv.exact_tv_equal_marginals(3, 1.5, 0.5), "p = 1.5 outside [0, 1]"),
+        (lambda: tv.exact_tv_equal_marginals(3, 0.5, -0.1), "q = -0.1 outside [0, 1]"),
+    ])
+    def test_messages(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_numpy_integers_accepted(self):
+        n = np.int64(6)
+        assert tv.gap_instance(n).n == 6
+        assert tv.gap_ratio_exact(n) == tv.gap_ratio_exact(6)
+        assert (tv.exact_tv_equal_marginals(n, 0.3, 0.6)
+                == tv.exact_tv_equal_marginals(6, 0.3, 0.6))
+        assert tv.mc_tv_estimate([0.5], [0.2], samples=np.int64(10)).samples == 10
+
+
 class TestMarginalTV:
     def test_bernoulli_marginals(self):
         pair = tv.FiniteProductPair.from_bernoulli([0.9, 0.5], [0.1, 0.5])

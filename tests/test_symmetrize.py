@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodtv as tv
-from oracles import random_bernoulli_pair
+from oracles import channel_matrix_reference, random_bernoulli_pair
 
 unit = st.floats(0, 1)
 
@@ -89,6 +91,13 @@ class TestChannelMatrix:
         with pytest.raises(ValueError):
             tv.channel_matrix(0.5, -0.1)
 
+    def test_parameters_share_the_bernoulli_slack(self):
+        # within 1e-12 of [0, 1] a parameter is clipped onto it, as in ProbVector
+        assert np.array_equal(tv.channel_matrix(1.0 + 1e-13, -1e-13).rows,
+                              tv.channel_matrix(1.0, 0.0).rows)
+        with pytest.raises(tv.InvalidDistributionError):
+            tv.channel_matrix(1.0 + 1e-11, 0.5)
+
     @settings(max_examples=300, deadline=None)
     @given(unit, unit)
     def test_rows_are_stochastic(self, p, q):
@@ -138,13 +147,72 @@ class TestApplyChannelProduct:
             assert np.array_equal(ch.rows, tv.channel_matrix(0.4, 0.4).rows)
 
 
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()  # also tells 0.0 from -0.0
+
+
+# Pairs with p < q, p = q and p + q = 1, parameters of 0 and 1, and tiny or
+# near-1 parameters, where one branch of the construction divides by ~0.
+_EDGE_VALUES = (0.0, 1.0, 0.5, 0.3, 0.7, 1e-300, 5e-324, 1e-16, 1.0 - 1e-16, 1.0 - 2 ** -53)
+EDGE_PAIRS = [(p, q) for p in _EDGE_VALUES for q in _EDGE_VALUES] + [
+    (x, 1.0 - x) for x in np.linspace(0.0, 1.0, 101)] + [
+    (1.0 - x, x) for x in np.linspace(0.0, 1.0, 101)]
+
+
+class TestArrayConstructionMatchesScalarReference:
+    """The (n, 2, 2) construction gives the scalar reference's rows bit for bit."""
+
+    @staticmethod
+    def reference(p, q):
+        return np.stack([channel_matrix_reference(pi, qi) for pi, qi in zip(p, q)])
+
+    @staticmethod
+    def array_rows(p, q):
+        _, channels = tv.apply_channel_product(p, q)
+        return np.stack([ch.rows for ch in channels])
+
+    def test_grid(self):
+        grid = np.linspace(0.0, 1.0, 201)
+        p, q = (axis.ravel() for axis in np.meshgrid(grid, grid))
+        assert_same_bits(self.array_rows(p, q), self.reference(p, q))
+
+    def test_random_pairs_at_n_ten_thousand(self):
+        rng = np.random.default_rng(405)
+        p, q = rng.random(10 ** 4), rng.random(10 ** 4)
+        q[::7] = p[::7]
+        assert_same_bits(self.array_rows(p, q), self.reference(p, q))
+
+    def test_edges(self):
+        p, q = np.array(EDGE_PAIRS).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the branch not taken must not warn
+            rows = self.array_rows(p, q)
+        assert_same_bits(rows, self.reference(p, q))
+
+    def test_scalar_calls_are_the_one_row_case(self):
+        for p, q in EDGE_PAIRS:
+            assert_same_bits(tv.channel_matrix(p, q).rows, channel_matrix_reference(p, q))
+
+
 class TestChannel2x2Validation:
     def test_rejects_bad_shape(self):
-        with pytest.raises(tv.InvalidDistributionError):
+        with pytest.raises(tv.InvalidDistributionError,
+                           match=r"^rows must be 2x2, got shape \(2, 3\)$"):
             tv.Channel2x2(np.ones((2, 3)))
+        with pytest.raises(tv.InvalidDistributionError,
+                           match=r"^rows must be 2x2, got shape \(1, 2, 2\)$"):
+            tv.Channel2x2(np.ones((1, 2, 2)))
 
     def test_rejects_non_stochastic(self):
-        with pytest.raises(tv.InvalidDistributionError):
+        with pytest.raises(tv.InvalidDistributionError,
+                           match=r"^channel rows sum to array\(\[1\.4, 1\. \]\), not 1$"):
             tv.Channel2x2(np.array([[0.7, 0.7], [0.5, 0.5]]))
-        with pytest.raises(tv.InvalidDistributionError):
+        with pytest.raises(tv.InvalidDistributionError,
+                           match=r"^channel entries outside \[0, 1\]: array\(\[\[ 1\.2, -0\.2\]"):
             tv.Channel2x2(np.array([[1.2, -0.2], [0.5, 0.5]]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(tv.InvalidDistributionError, match="rows sum to"):
+            tv.Channel2x2(np.array([[np.nan, 0.0], [0.5, 0.5]]))

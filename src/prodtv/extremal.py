@@ -34,7 +34,7 @@ LOWTHER_RATIO_BOUND = 1.0 / (1.0 / math.sqrt(2.0) - 0.25)
 MAX_SIGN_ENUM_BITS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapInstance:
     """The two equal-l2-norm pairs exhibiting the sqrt(n) bracket gap."""
 
@@ -48,7 +48,7 @@ class GapInstance:
     ratio_lower: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RademacherInstance:
     """Positive weights with a threshold for the sign-sum comparison.
 
@@ -102,7 +102,7 @@ def gap_instance(n: int) -> GapInstance:
 def _gap_exact_tvs(n: int) -> tuple:
     """Exact TVs of the two gap pairs, (TV(p, q), TV(p', q')).
 
-    Both pairs have constant coordinates, so the O(n) equal-marginal path
+    Both pairs have constant coordinates, so the windowed binomial path
     applies and n can be large.
     """
     n = _positive_int(n, "n")

@@ -17,7 +17,7 @@ from .core import FiniteProductPair, ProbVector, _as_pair
 __all__ = ["ScheffeReduction", "scheffe_reduce"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheffeReduction:
     """Bernoulli pair equivalent to a product pair, with the favored states.
 

@@ -20,7 +20,7 @@ __all__ = ["SymmetrizedPair", "Channel2x2", "symmetrize", "channel_matrix",
 ROW_SUM_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetrizedPair:
     """The symmetric image (gamma, 1/2 + gamma/2, 1/2 - gamma/2) of a pair."""
 
@@ -45,7 +45,7 @@ def _valid_stack(rows) -> np.ndarray:
     return stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel2x2:
     """A row-stochastic 2x2 transition matrix on {0, 1}.
 

@@ -8,7 +8,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import rel_entr
+from scipy.special import gammaln, rel_entr, xlog1py, xlogy
 
 from prodtv import FiniteDist, FiniteProductPair
 
@@ -113,6 +113,21 @@ def channel_matrix_reference(p, q):
         top = (0.5 + off, 0.5 - off)
         bottom = (0.0, 1.0)
     return np.array([top, bottom])
+
+
+def binomial_pmf_reference(n, prob):
+    """Binomial(n, prob) masses at every k in 0..n, taken in log space."""
+    k = np.arange(n + 1, dtype=np.float64)
+    log_coeff = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    with np.errstate(divide="ignore"):
+        log_pmf = log_coeff + xlogy(k, prob) + xlog1py(n - k, -prob)
+    return np.exp(log_pmf)
+
+
+def equal_marginals_reference(n, p, q):
+    """Exact TV of constant-parameter Bernoulli products over all n + 1 counts."""
+    diff = np.abs(binomial_pmf_reference(n, float(p)) - binomial_pmf_reference(n, float(q)))
+    return min(1.0, 0.5 * float(diff.sum()))
 
 
 def joint_masses(rows):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import prodtv as tv
 from oracles import (
+    binomial_pmf_reference,
+    equal_marginals_reference,
     random_bernoulli_pair,
     random_product_pair,
     tv_bernoulli_brute,
@@ -313,8 +315,56 @@ class TestEqualMarginals:
             tv.exact_tv_equal_marginals(3, 1.5, 0.5)
 
 
+class TestEqualMarginalsWindow:
+    """The Bernstein-window evaluation equals the full-range sum bit for bit."""
+
+    SIZES = (1, 2, 3, 7, 50, 999, 1000, 4096, 31000, 91000, 250000)
+
+    @staticmethod
+    def pairs(n, rng):
+        inv = 1.0 / n
+        fixed = [(inv, 0.0), (0.5 + 0.5 * inv, 0.5 - 0.5 * inv), (0.0, 1.0), (1.0, 0.0),
+                 (0.3, 0.3), (5e-324, 0.0), (1e-12, 0.5), (1.0 - 1e-12, 1.0),
+                 (5e-324, 1.0 - 1e-12)]
+        drawn = [tuple(rng.random(2).tolist()) for _ in range(3)]
+        near = [(x, x + 1e-3 * float(rng.random())) for x in rng.random(2).tolist()]
+        return fixed + drawn + near
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bit_identical_to_full_range(self, n):
+        rng = np.random.default_rng(130 + n)
+        for p, q in self.pairs(n, rng):
+            assert (tv.exact_tv_equal_marginals(n, p, q).hex()
+                    == equal_marginals_reference(n, p, q).hex()), (n, p, q)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_no_nonzero_mass_outside_window(self, n):
+        rng = np.random.default_rng(130 + n)
+        for p, q in self.pairs(n, rng):
+            lo, hi = tv.core._bernstein_window(n, p, q)
+            assert 0 <= lo <= hi <= n
+            for prob in (p, q):
+                pmf = binomial_pmf_reference(n, prob)
+                assert not pmf[:lo].any() and not pmf[hi + 1:].any(), (n, p, q, prob)
+
+    def test_window_is_narrow_at_large_n(self):
+        n = 91000
+        lo, hi = tv.core._bernstein_window(n, 1.0 / n, 0.0)
+        assert hi - lo < 600
+        lo, hi = tv.core._bernstein_window(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n)
+        assert hi - lo < 13000
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_gap_ratio_bit_identical(self, n):
+        inv = 1.0 / n
+        expected = (equal_marginals_reference(n, inv, 0.0)
+                    / equal_marginals_reference(n, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv))
+        assert tv.gap_ratio_exact(n).hex() == expected.hex()
+
+
 class TestArgumentChecks:
-    """Every positive-integer and scalar-range check keeps its ValueError message."""
+    """Every positive-integer, scalar-range and parameter-vector check keeps its
+    ValueError message."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda: tv.exact_tv_equal_marginals(0, 0.5, 0.5),
@@ -327,6 +377,16 @@ class TestArgumentChecks:
          "samples must be a positive integer, got 0"),
         (lambda: tv.exact_tv_equal_marginals(3, 1.5, 0.5), "p = 1.5 outside [0, 1]"),
         (lambda: tv.exact_tv_equal_marginals(3, 0.5, -0.1), "q = -0.1 outside [0, 1]"),
+        (lambda: tv.ProbVector([0.5, 1.2]), f"params[1] = {np.float64(1.2)!r} outside [0, 1]"),
+        (lambda: tv.ProbVector([-0.1]), f"params[0] = {np.float64(-0.1)!r} outside [0, 1]"),
+        (lambda: tv.ProbVector([0.5, float("nan")]), "params contains non-finite entries"),
+        (lambda: tv.ProbVector([float("inf")]), "params contains non-finite entries"),
+        (lambda: tv.ProbVector([2.0, float("-inf")]), "params contains non-finite entries"),
+        (lambda: tv.ProbVector([]), "params must be a non-empty 1-D vector"),
+        (lambda: tv.ProbVector([[0.5]]), "params must be a non-empty 1-D vector"),
+        (lambda: tv.MarginalTV([0.25, 1.0 + 1e-9]),
+         f"deltas[1] = {np.float64(1.0 + 1e-9)!r} outside [0, 1]"),
+        (lambda: tv.MarginalTV([float("nan")]), "deltas contains non-finite entries"),
     ])
     def test_messages(self, call, message):
         with pytest.raises(ValueError) as info:
@@ -392,6 +452,46 @@ class TestValidation:
             tv.FiniteProductPair(([0.5, 0.5],), ([0.2, 0.3, 0.5],))
         with pytest.raises(tv.InvalidDistributionError):
             tv.FiniteProductPair((), ())
+
+
+class TestUnitIntervalVector:
+    """Parameter vectors: entries within the slack are clipped, the input is copied."""
+
+    def test_slack_is_clipped_and_signed_zero_kept(self):
+        params = tv.ProbVector([-1e-13, 1.0 + 1e-13, 0.5]).params
+        assert params.tolist() == [0.0, 1.0, 0.5]
+        assert not np.signbit(params[0])
+        for values in ([-0.0, 0.5], [-0.0, 1.0 + 1e-13]):
+            assert np.signbit(tv.ProbVector(values).params[0])
+
+    def test_params_never_alias_the_input(self):
+        for values in (np.array([0.2, 0.4]), np.array([0.2, 1.0 + 1e-13]),
+                       np.array(0.3), np.array([0.2, 0.4], dtype=np.float32)):
+            params = tv.ProbVector(values).params
+            assert not np.shares_memory(params, values)
+            assert params.dtype == np.float64 and params.ndim == 1
+
+
+class TestDataclassEquality:
+    """Dataclasses holding arrays compare by identity instead of raising."""
+
+    def test_equality_does_not_raise(self):
+        pair = tv.FiniteProductPair.from_bernoulli([0.8, 0.1], [0.6, 0.3])
+        makers = [
+            lambda: tv.ProbVector([0.5, 0.5]),
+            lambda: tv.FiniteDist([0.5, 0.5]),
+            lambda: tv.MarginalTV([0.1, 0.2]),
+            lambda: tv.scheffe_reduce(pair),
+            lambda: tv.channel_matrix(0.8, 0.6),
+            lambda: tv.symmetrize([0.8], [0.6]),
+            lambda: tv.gap_instance(4),
+            lambda: tv.RademacherInstance([1.0, 2.0], 0.5),
+        ]
+        for make in makers:
+            first, second = make(), make()
+            assert first == first
+            assert not first == second
+            assert first != second
 
 
 class TestArrayForm:

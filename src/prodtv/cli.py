@@ -16,6 +16,7 @@ that ``bounds --exact`` finds outside its own bracket).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,7 +38,7 @@ from .extremal import (
     LOWTHER_RATIO_BOUND,
     RademacherInstance,
     _gap_exact_tvs,
-    gap_instance,
+    _gap_scalars,
     lowther_check,
 )
 from .reduce import scheffe_reduce
@@ -309,9 +310,8 @@ GAP_COLUMNS = ("n", "tv_pq", "tv_pq_prime_upper", "ratio_lower", "sqrt_n")
 def cmd_gap(args) -> int:
     rows = []
     for n in _parse_n_values(args):
-        inst = gap_instance(n)
-        rows.append((inst.n, inst.tv_pq, inst.tv_pq_prime_upper,
-                     inst.ratio_lower, math.sqrt(inst.n)))
+        tv_pq, tv_upper, ratio_lower = _gap_scalars(n)
+        rows.append((n, tv_pq, tv_upper, ratio_lower, math.sqrt(n)))
     _emit_rows(GAP_COLUMNS, rows, args.format)
     return 0
 
@@ -323,11 +323,11 @@ SWEEP_COLUMNS = ("n", "tv_pq", "tv_pq_prime_exact", "tv_pq_prime_upper",
 def cmd_sweep(args) -> int:
     rows = []
     for n in _parse_n_values(args):
-        inst = gap_instance(n)
+        tv_pq, tv_upper, ratio_lower = _gap_scalars(n)
         tv_exact, tv_prime_exact = _gap_exact_tvs(n)
         ratio = tv_exact / tv_prime_exact
-        rows.append((inst.n, inst.tv_pq, tv_prime_exact, inst.tv_pq_prime_upper,
-                     ratio, inst.ratio_lower, ratio / math.sqrt(inst.n)))
+        rows.append((n, tv_pq, tv_prime_exact, tv_upper, ratio, ratio_lower,
+                     ratio / math.sqrt(n)))
     _emit_rows(SWEEP_COLUMNS, rows, args.format)
     return 0
 
@@ -369,7 +369,13 @@ def _add_budget_workers(parser) -> None:
                         help="accepted for compatibility; does not change results")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every call.
+
+    Parsing does not change it: each ``parse_args`` fills a fresh Namespace,
+    so one call's flags and defaults never reach the next.
+    """
     parser = argparse.ArgumentParser(
         prog="prodtv",
         description="Total-variation distances and bounds for product distributions.",
@@ -411,8 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (CliParseError, InvalidDistributionError, DimensionMismatchError) as exc:

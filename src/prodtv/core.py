@@ -482,32 +482,51 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
     Uses the identity TV = E_{X~P}[max(0, 1 - Q(X)/P(X))]; every sample term
     lies in [0, 1], so the half-width is the Hoeffding bound
     sqrt(ln(2/(1-confidence)) / (2*samples)). The stream is drawn from a
-    counter-based Philox generator in fixed-size batches, making the estimate
-    a pure function of (seed, samples).
+    counter-based Philox generator in fixed-size batches of (m, n) uniforms,
+    coordinate i of a sample being a one when its uniform is below p_i.
+
+    Each sample's log-likelihood ratio log Q(X) - log P(X) is summed one
+    coordinate at a time, left to right, from log q_i - log p_i for a one and
+    log1p(-q_i) - log1p(-p_i) for a zero; the term is -expm1(min(llr, 0)),
+    which stays accurate where 1 - Q/P cancels and cannot underflow. A state
+    Q cannot produce (q_i = 0 hit by a one, q_i = 1 hit by a zero) has log
+    ratio -inf, which marks the sample: no log ratio is +inf, so its sum stays
+    -inf and its term is exactly 1. The order of every operation is fixed (no
+    BLAS, whose summation order depends on the build and thread count), so
+    the estimate is a pure function of (seed, samples).
+
+    No clamp is applied: every term lies in [0, 1] and float rounding is
+    monotone, so no partial sum exceeds its count and the value lies in
+    [0, 1]. An identical pair gives exactly 0.0 and a pair whose every
+    sample is impossible under Q gives exactly 1.0.
     """
     pa, qa = _matched_params(p, q)
     samples = _positive_int(samples, "samples")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
 
-    # Likelihood-ratio factors per coordinate; the masked branches are never
-    # selected because X ~ Ber(p) cannot land on a zero-probability state.
+    # Row i holds coordinate i's log ratios (of a zero, of a one). The masked
+    # branches are never taken: X ~ Ber(p) cannot land on a state of mass 0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_one = np.where(pa > 0.0, qa / pa, 0.0)
-        ratio_zero = np.where(pa < 1.0, (1.0 - qa) / (1.0 - pa), 0.0)
+        log_ratios = np.stack([np.where(pa < 1.0, np.log1p(-qa) - np.log1p(-pa), 0.0),
+                               np.where(pa > 0.0, np.log(qa) - np.log(pa), 0.0)], axis=1)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     batch_sums = []
     done = 0
     while done < samples:
         m = min(_MC_BATCH, samples - done)
-        draws = rng.random((m, pa.size))
-        ones = draws < pa
-        ratios = np.where(ones, ratio_one, ratio_zero).prod(axis=1)
-        terms = np.maximum(0.0, 1.0 - ratios)
+        # Outcome bits (1 for a one), one contiguous row per coordinate.
+        bits = np.ascontiguousarray((rng.random((m, pa.size)) < pa).T).view(np.uint8)
+        llr = np.zeros(m)
+        for coord_bits, coord_ratios in zip(bits, log_ratios):
+            llr += coord_ratios.take(coord_bits)
+        terms = -np.expm1(np.minimum(llr, 0.0))
         batch_sums.append(float(terms.sum()))
         done += m
-    value = min(1.0, _tree_sum(batch_sums) / samples)
+    # The terms of an identical pair are -expm1(0) = -0.0; adding 0.0 makes
+    # the value 0.0 whichever way a sum of them rounds its sign.
+    value = _tree_sum(batch_sums) / samples + 0.0
     half_width = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
     return TVEstimate(value=value, half_width=half_width,
                       confidence=float(confidence), samples=samples)

@@ -77,16 +77,28 @@ class RademacherInstance:
         return self.weights.size
 
 
+def _gap_scalars(n: int) -> tuple:
+    """(tv_pq, tv_pq_prime_upper, ratio_lower) of the gap construction.
+
+    tv_pq is the closed form 1 - (1 - 1/n)**n; the symmetric pair's TV is
+    reported through its upper bound n**-0.5. No n-length vector is built.
+    """
+    n = _positive_int(n, "n")
+    tv_pq = 1.0 - (1.0 - 1.0 / n) ** n
+    tv_pq_prime_upper = n ** -0.5
+    return tv_pq, tv_pq_prime_upper, tv_pq / tv_pq_prime_upper
+
+
 def gap_instance(n: int) -> GapInstance:
     """Build the gap construction for a given dimension.
 
-    tv_pq uses the closed form 1 - (1 - 1/n)**n; the symmetric pair's TV is
-    reported through its upper bound n**-0.5.
+    Besides the four parameter vectors it carries the scalars of
+    ``_gap_scalars``; callers that need only those (``prodtv gap`` and
+    ``prodtv sweep``) read them there and build no vector of length n.
     """
     n = _positive_int(n, "n")
     inv = 1.0 / n
-    tv_pq = 1.0 - (1.0 - inv) ** n
-    tv_pq_prime_upper = n ** -0.5
+    tv_pq, tv_pq_prime_upper, ratio_lower = _gap_scalars(n)
     return GapInstance(
         n=n,
         p=ProbVector(np.full(n, inv)),
@@ -95,7 +107,7 @@ def gap_instance(n: int) -> GapInstance:
         q_prime=ProbVector(np.full(n, 0.5 - 0.5 * inv)),
         tv_pq=tv_pq,
         tv_pq_prime_upper=tv_pq_prime_upper,
-        ratio_lower=tv_pq / tv_pq_prime_upper,
+        ratio_lower=ratio_lower,
     )
 
 

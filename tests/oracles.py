@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import gammaln, rel_entr, xlog1py, xlogy
 
 from prodtv import FiniteDist, FiniteProductPair
+from prodtv.core import _MC_BATCH
 
 
 def tv_bernoulli_brute(p, q):
@@ -128,6 +129,25 @@ def equal_marginals_reference(n, p, q):
     """Exact TV of constant-parameter Bernoulli products over all n + 1 counts."""
     diff = np.abs(binomial_pmf_reference(n, float(p)) - binomial_pmf_reference(n, float(q)))
     return min(1.0, 0.5 * float(diff.sum()))
+
+
+def mc_product_reference(p, q, samples, seed=0):
+    """Monte Carlo TV value in product form: the same Philox draws as
+    ``mc_tv_estimate``, each term max(0, 1 - prod of per-coordinate q/p ratios)."""
+    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_one = np.where(pa > 0.0, qa / pa, 0.0)
+        ratio_zero = np.where(pa < 1.0, (1.0 - qa) / (1.0 - pa), 0.0)
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    total = 0.0
+    done = 0
+    while done < samples:
+        m = min(_MC_BATCH, samples - done)
+        ones = rng.random((m, pa.size)) < pa
+        ratios = np.where(ones, ratio_one, ratio_zero).prod(axis=1)
+        total += float(np.maximum(0.0, 1.0 - ratios).sum())
+        done += m
+    return min(1.0, total / samples)
 
 
 def joint_masses(rows):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from prodtv import exact_tv_bernoulli
+from prodtv import cli, exact_tv_bernoulli
 from prodtv.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_PARSE, main
 
 
@@ -539,3 +539,62 @@ class TestExactBracketCheck:
         code, out, _ = run(capsys, ["bounds", path])
         assert code == 0
         assert json.loads(out)["best_upper"] == 0.0
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no call may change the next."""
+
+    def calls(self, tmp_path):
+        bern = write_instance(tmp_path, SYMMETRIC_PADDED, "bern.json")
+        general = write_instance(tmp_path, GENERAL_MIXED, "general.json")
+        return [
+            ["bounds", bern],
+            ["bounds", general, "--format", "csv"],
+            ["exact", bern],
+            ["mc", bern, "--samples", "2000", "--seed", "5"],
+            ["mc", bern, "--format", "text"],
+            ["symmetrize", bern, "--format", "text"],
+            ["reduce", general],
+            ["gap", "--n", "7"],
+            ["gap", "--n-range", "3,9", "--format", "json"],
+            ["sweep", "--n-range", "1:4"],
+            ["lowther", "--weights", "1,2,3", "--threshold", "0.8"],
+        ]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_interleaved_calls_repeat_their_bytes(self, tmp_path, capsys):
+        calls = self.calls(tmp_path)
+        bern = calls[0][1]
+        first = {}
+        for _ in range(2):
+            for i, argv in enumerate(calls):
+                code, out, err = run(capsys, argv)
+                assert (code, err) == (0, "")
+                assert first.setdefault(i, out) == out, argv
+                # Between calls: an argparse error and a flag-heavy bounds call.
+                with pytest.raises(SystemExit):
+                    main(["bounds", bern, "--format", "xml", "--exact"])
+                capsys.readouterr()
+                code, out, _ = run(capsys, ["bounds", bern, "--exact", "--budget", "30",
+                                            "--workers", "3", "--format", "text"])
+                assert code == 0 and "exact_tv" in out
+
+    def test_flags_do_not_leak(self, tmp_path, capsys):
+        bern = write_instance(tmp_path, SYMMETRIC_PADDED)
+        run(capsys, ["bounds", bern, "--exact", "--budget", "4", "--format", "text"])
+        code, out, _ = run(capsys, ["bounds", bern])
+        assert code == 0
+        doc = json.loads(out)  # JSON again, the default of bounds
+        assert "exact_tv" not in doc and "warnings" not in doc
+        run(capsys, ["gap", "--n", "3", "--format", "json"])
+        _, out, _ = run(capsys, ["gap", "--n", "3"])
+        assert out.startswith("n,tv_pq,")  # CSV again, the default of gap
+        with pytest.raises(SystemExit):
+            main(["exact", bern, "--budget", "x"])
+        capsys.readouterr()
+        code, out, _ = run(capsys, ["exact", bern, "--budget", "2"])
+        assert code == EXIT_BUDGET
+        code, out, _ = run(capsys, ["exact", bern])
+        assert code == 0 and json.loads(out)["tv"] > 0.0

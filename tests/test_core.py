@@ -10,6 +10,7 @@ import prodtv as tv
 from oracles import (
     binomial_pmf_reference,
     equal_marginals_reference,
+    mc_product_reference,
     random_bernoulli_pair,
     random_product_pair,
     tv_bernoulli_brute,
@@ -545,12 +546,16 @@ class TestArrayForm:
 class TestMonteCarlo:
     def test_identical_pair_is_exactly_zero(self):
         rng = np.random.default_rng(110)
-        p = rng.random(6)
-        est = tv.mc_tv_estimate(p, p, samples=1000, seed=5)
-        assert est.value == 0.0
+        for p in (rng.random(6), [0.0, 1.0, 0.25], [1e-300, 1.0 - 1e-16]):
+            value = tv.mc_tv_estimate(p, p, samples=1000, seed=5).value
+            assert value == 0.0
+            assert math.copysign(1.0, value) == 1.0  # never -0.0
 
     def test_disjoint_pair_is_exactly_one(self):
         est = tv.mc_tv_estimate([1.0], [0.0], samples=1000, seed=9)
+        assert est.value == 1.0
+        # Every draw has a one where q = 0 or a zero where q = 1.
+        est = tv.mc_tv_estimate([1.0, 0.0, 0.5], [0.0, 1.0, 0.5], samples=70_000, seed=9)
         assert est.value == 1.0
 
     def test_half_width_formula(self):
@@ -563,6 +568,9 @@ class TestMonteCarlo:
         first = tv.mc_tv_estimate([0.5, 0.5], [0.0, 0.0], samples=50_000, seed=3)
         second = tv.mc_tv_estimate([0.5, 0.5], [0.0, 0.0], samples=50_000, seed=3)
         assert first.value == second.value
+        p, q = np.random.default_rng(31).random((2, 50))
+        values = {tv.mc_tv_estimate(p, q, samples=70_000, seed=3).value for _ in range(3)}
+        assert len(values) == 1
 
     def test_estimates_near_oracle(self):
         for seed in range(5):
@@ -577,6 +585,41 @@ class TestMonteCarlo:
         est = tv.mc_tv_estimate([1.0], [0.0], samples=10, seed=0)
         assert est.upper == 1.0
         assert est.lower == pytest.approx(1.0 - est.half_width)
+
+    @pytest.mark.parametrize("n, samples", [(1, 5000), (7, 4000), (40, 3000), (300, 1000),
+                                            (1000, 400), (3, 70_000)])
+    def test_matches_product_reference(self, n, samples):
+        # Far pairs (independent parameters) and near pairs (gaps of about
+        # 1/sqrt(n)); 70000 samples cross a batch boundary.
+        rng = np.random.default_rng(n)
+        p = rng.random(n)
+        for q in (rng.random(n), np.clip(p + rng.normal(0.0, 0.5 / math.sqrt(n), n), 0.0, 1.0)):
+            seed = int(rng.integers(1 << 31))
+            est = tv.mc_tv_estimate(p, q, samples=samples, seed=seed)
+            assert est.value == pytest.approx(mc_product_reference(p, q, samples, seed),
+                                              rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p, q", [
+        ([0.0, 1.0, 0.5], [0.3, 0.7, 0.5]),
+        ([0.3, 0.7, 0.5], [0.0, 1.0, 0.5]),  # Q cannot produce some draws
+        ([0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0]),
+        ([0.0, 1.0], [1.0, 0.0]),
+        ([0.2, 0.6, 0.9], [0.2 + 1e-9, 0.6 - 1e-9, 0.9 + 1e-12]),
+        ([0.5, 1e-300, 1.0 - 1e-16], [0.5, 0.0, 1.0]),
+    ], ids=["p-edges", "q-edges", "identical-edges", "disjoint", "near-identical",
+            "impossible-rare"])
+    def test_edge_pairs_match_product_reference(self, p, q):
+        est = tv.mc_tv_estimate(p, q, samples=5000, seed=8)
+        assert 0.0 <= est.value <= 1.0
+        assert est.value == pytest.approx(mc_product_reference(p, q, 5000, 8),
+                                          rel=0.0, abs=1e-12)
+
+    def test_impossible_states_count_as_one(self):
+        # Q cannot produce a one in the first coordinate; elsewhere P = Q, so
+        # the estimate is the share of draws with that one.
+        est = tv.mc_tv_estimate([0.25, 0.6], [0.0, 0.6], samples=20_000, seed=12)
+        ones = np.random.Generator(np.random.Philox(key=12)).random((20_000, 2))[:, 0] < 0.25
+        assert est.value == ones.sum() / 20_000
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

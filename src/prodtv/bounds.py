@@ -15,7 +15,6 @@ from collections import namedtuple
 from dataclasses import dataclass, make_dataclass
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .core import FiniteProductPair, MarginalTV, _as_pair, _params
 from .reduce import ScheffeReduction, scheffe_reduce
@@ -126,6 +125,9 @@ def kl_bracket(pair: FiniteProductPair) -> tuple:
     m = min(P_min, Q_min) with P_min = prod_i min_w P_i(w); it is emitted only
     when KL is finite and 0 < P_min < 1/2, and is None otherwise.
     """
+    # Imported here so that importing prodtv or its CLI does not load scipy.
+    from scipy.special import rel_entr
+
     pair = _as_pair(pair)
     kl = _fold(np.add, 0.0, rel_entr(pair.p_masses, pair.q_masses).sum(axis=1))
     states = np.arange(pair.p_masses.shape[1]) < pair.support_sizes[:, None]

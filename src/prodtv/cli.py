@@ -30,6 +30,7 @@ from .core import (
     FiniteProductPair,
     InvalidDistributionError,
     ProbVector,
+    _matched_params,
     exact_tv_bernoulli,
     exact_tv_general,
     mc_tv_estimate,
@@ -63,11 +64,21 @@ class CliParseError(Exception):
 
 @dataclass(frozen=True)
 class Instance:
+    """A parsed instance; a Bernoulli one keeps p and q and builds its
+    FiniteProductPair only when ``pair`` is read (by bounds and reduce)."""
+
     kind: str  # "bernoulli" or "general"
     label: str | None
-    pair: FiniteProductPair
+    n: int
     p: ProbVector | None = None
     q: ProbVector | None = None
+    general_pair: FiniteProductPair | None = None
+
+    @property
+    def pair(self) -> FiniteProductPair:
+        if self.kind == "general":
+            return self.general_pair
+        return FiniteProductPair.from_bernoulli(self.p, self.q)
 
 
 def _fmt(value) -> str:
@@ -111,17 +122,17 @@ def _parse_instance(doc, source: str) -> Instance:
         try:
             p = ProbVector(doc["p"])
             q = ProbVector(doc["q"])
-            pair = FiniteProductPair.from_bernoulli(p, q)
+            _matched_params(p, q)
         except (InvalidDistributionError, DimensionMismatchError, TypeError) as exc:
             raise CliParseError(f"{source}: {exc}")
-        return Instance(kind="bernoulli", label=label, pair=pair, p=p, q=q)
+        return Instance(kind="bernoulli", label=label, n=p.n, p=p, q=q)
     if general_keys != {"P", "Q"}:
         raise CliParseError(f"{source}: a general instance needs both P and Q")
     try:
         pair = FiniteProductPair(doc["P"], doc["Q"])
     except (InvalidDistributionError, DimensionMismatchError) as exc:
         raise CliParseError(f"{source}: {exc}")
-    return Instance(kind="general", label=label, pair=pair)
+    return Instance(kind="general", label=label, n=pair.n, general_pair=pair)
 
 
 def _print_json(doc) -> None:
@@ -171,7 +182,7 @@ def _base_doc(instance: Instance) -> dict:
     if instance.label is not None:
         doc["label"] = instance.label
     doc["kind"] = instance.kind
-    doc["n"] = instance.pair.n
+    doc["n"] = instance.n
     return doc
 
 

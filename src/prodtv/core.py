@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 __all__ = [
     "DEFAULT_BUDGET_LOG2",
@@ -334,6 +333,21 @@ def _scan(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scan_total(values: np.ndarray) -> float:
+    """The last prefix sum of ``_scan(values)``, bit for bit, in O(N) time.
+
+    That prefix is a pairwise tree sum over the values right-aligned in a
+    zero-padded array of power-of-two length: the same additions (adding
+    0.0 is exact), so it carries the same error bound as the scan.
+    """
+    size = 1 << max(values.size - 1, 0).bit_length()
+    tree = np.zeros(size)
+    tree[size - values.size:] = values
+    while tree.size > 1:
+        tree = tree[0::2] + tree[1::2]
+    return float(tree[0])
+
+
 def _half(p_rows, q_rows) -> tuple:
     """A half's joint masses, without the outcomes that are null on both sides."""
     mass_p, mass_q = _product_block(p_rows), _product_block(q_rows)
@@ -368,7 +382,7 @@ def _exact_tv(p_rows, q_rows) -> float:
     tail_q = np.append(_scan(mass_qb[order][::-1])[::-1], 0.0)
     first = np.searchsorted(ratio_b[order], threshold_a, side="right")
     terms = np.maximum(0.0, mass_pa * tail_p[first] - mass_qa * tail_q[first])
-    return min(1.0, float(_scan(terms)[-1]))
+    return min(1.0, _scan_total(terms))
 
 
 def exact_tv_bernoulli(p, q, *, budget_log2: int | None = None, workers: int = 1) -> float:
@@ -430,20 +444,13 @@ def _bernstein_window(n: int, p: float, q: float) -> tuple:
     return max(0, math.floor(min(ends))), min(n, math.ceil(max(ends)))
 
 
-def _binomial_pmf(n: int, prob: float, k: np.ndarray) -> np.ndarray:
-    """Binomial(n, prob) masses at the integers k (float64), taken in log space."""
-    log_coeff = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    with np.errstate(divide="ignore"):
-        log_pmf = log_coeff + xlogy(k, prob) + xlog1py(n - k, -prob)
-    return np.exp(log_pmf)
-
-
 def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     """Exact TV for constant-parameter Bernoulli products.
 
     Outcome probabilities depend only on the number of ones, so the 2**n sum
-    collapses to a binomial one; coefficients are taken in log space. The tests
-    hold it to the exact kernel's error bound against rational TV for n <= 12.
+    collapses to a binomial one; the log binomial coefficients are computed
+    once and serve both sides. The tests hold it to the exact kernel's error
+    bound against rational TV for n <= 12.
 
     The log-masses are evaluated only on the Bernstein window of both sides
     (``_bernstein_window``): at most 78 sqrt(n p (1 - p)) + 1016 counts around
@@ -461,10 +468,17 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"{name} = {value!r} outside [0, 1]")
     p, q = float(p), float(q)
+    # Imported here so that importing prodtv or its CLI does not load scipy.
+    from scipy.special import gammaln, xlog1py, xlogy
+
     lo, hi = _bernstein_window(n, p, q)
     k = np.arange(lo, hi + 1, dtype=np.float64)
+    log_coeff = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    with np.errstate(divide="ignore"):
+        pmf_p = np.exp(log_coeff + xlogy(k, p) + xlog1py(n - k, -p))
+        pmf_q = np.exp(log_coeff + xlogy(k, q) + xlog1py(n - k, -q))
     diff = np.zeros(n + 1)
-    diff[lo:hi + 1] = np.abs(_binomial_pmf(n, p, k) - _binomial_pmf(n, q, k))
+    diff[lo:hi + 1] = np.abs(pmf_p - pmf_q)
     return min(1.0, 0.5 * float(diff.sum()))
 
 

@@ -5,13 +5,14 @@ one by one with plain Python arithmetic, in floats or in exact rationals.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln, rel_entr, xlog1py, xlogy
 
 from prodtv import FiniteDist, FiniteProductPair
-from prodtv.core import _MC_BATCH
+from prodtv.core import _MC_BATCH, _bernstein_window, _half
 
 
 def tv_bernoulli_brute(p, q):
@@ -129,6 +130,51 @@ def equal_marginals_reference(n, p, q):
     """Exact TV of constant-parameter Bernoulli products over all n + 1 counts."""
     diff = np.abs(binomial_pmf_reference(n, float(p)) - binomial_pmf_reference(n, float(q)))
     return min(1.0, 0.5 * float(diff.sum()))
+
+
+def equal_marginals_per_side_reference(n, p, q):
+    """Exact TV of constant-parameter Bernoulli products on the Bernstein window,
+    with the log binomial coefficients computed once for each side."""
+    p, q = float(p), float(q)
+    lo, hi = _bernstein_window(n, p, q)
+    k = np.arange(lo, hi + 1, dtype=np.float64)
+    pmfs = []
+    for prob in (p, q):
+        log_coeff = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        with np.errstate(divide="ignore"):
+            log_pmf = log_coeff + xlogy(k, prob) + xlog1py(n - k, -prob)
+        pmfs.append(np.exp(log_pmf))
+    diff = np.zeros(n + 1)
+    diff[lo:hi + 1] = np.abs(pmfs[0] - pmfs[1])
+    return min(1.0, 0.5 * float(diff.sum()))
+
+
+def scan_reference(values):
+    """Inclusive prefix sums by a Hillis-Steele scan: round k adds the value 2**k
+    places back."""
+    out = np.array(values, dtype=np.float64)
+    step = 1
+    while step < out.size:
+        out[step:] = out[step:] + out[:-step]
+        step *= 2
+    return out
+
+
+def exact_kernel_reference(p_rows, q_rows):
+    """The meet-in-the-middle kernel with its total read off the full scan."""
+    log_sizes = np.concatenate(([0.0], np.cumsum([math.log2(len(r)) for r in p_rows])))
+    split = int(np.argmin(np.abs(2.0 * log_sizes - log_sizes[-1])))
+    mass_pa, mass_qa = _half(p_rows[:split], q_rows[:split])
+    mass_pb, mass_qb = _half(p_rows[split:], q_rows[split:])
+    with np.errstate(divide="ignore"):
+        ratio_b = np.log(mass_pb) - np.log(mass_qb)
+        threshold_a = np.log(mass_qa) - np.log(mass_pa)
+    order = np.argsort(ratio_b, kind="stable")
+    tail_p = np.append(scan_reference(mass_pb[order][::-1])[::-1], 0.0)
+    tail_q = np.append(scan_reference(mass_qb[order][::-1])[::-1], 0.0)
+    first = np.searchsorted(ratio_b[order], threshold_a, side="right")
+    terms = np.maximum(0.0, mass_pa * tail_p[first] - mass_qa * tail_q[first])
+    return min(1.0, float(scan_reference(terms)[-1]))
 
 
 def mc_product_reference(p, q, samples, seed=0):

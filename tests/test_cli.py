@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prodtv
 from prodtv import cli, exact_tv_bernoulli
 from prodtv.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_PARSE, main
 
@@ -116,6 +121,13 @@ class TestInstanceParsing:
         code, _, err = run(capsys, ["bounds", path])
         assert code == EXIT_PARSE
         assert "outside [0, 1]" in err
+
+    @pytest.mark.parametrize("command", ["exact", "mc", "symmetrize", "bounds", "reduce"])
+    def test_mismatched_lengths(self, tmp_path, capsys, command):
+        path = write_instance(tmp_path, {"p": [0.5, 0.2], "q": [0.1]})
+        code, out, err = run(capsys, [command, path])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: {path}: p has length 2, q has length 1\n"
 
 
 class TestExactCommand:
@@ -598,3 +610,68 @@ class TestParserReuse:
         assert code == EXIT_BUDGET
         code, out, _ = run(capsys, ["exact", bern])
         assert code == 0 and json.loads(out)["tv"] > 0.0
+
+
+# Runs CLI commands in one fresh interpreter and prints, after each step, the
+# scipy modules loaded so far.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+steps = []
+import prodtv
+steps.append(("import prodtv", loaded()))
+import prodtv.cli
+steps.append(("import prodtv.cli", loaded()))
+for argv, stdin in json.loads(sys.argv[1]):
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = prodtv.cli.main(argv)
+    assert code == 0, (argv, code)
+    steps.append((" ".join(argv), loaded()))
+print(json.dumps(steps))
+"""
+
+
+def scipy_steps(calls):
+    """[step, scipy modules loaded after it] pairs from one fresh interpreter."""
+    src = str(Path(prodtv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestScipyLoadedOnDemand:
+    """Importing prodtv and running the commands that need no scipy.special
+    function leaves scipy unloaded; bounds and sweep load it when they run."""
+
+    BERN = json.dumps({"p": [0.5, 0.3, 0.9], "q": [0.1, 0.3, 0.95]})
+    GENERAL = json.dumps(GENERAL_MIXED)
+
+    def test_import_and_numpy_only_commands(self):
+        steps = scipy_steps([
+            (["exact", "-"], self.BERN),
+            (["exact", "-"], self.GENERAL),
+            (["mc", "-", "--samples", "2000"], self.BERN),
+            (["gap", "--n-range", "1:5"], ""),
+            (["reduce", "-"], self.BERN),
+            (["reduce", "-"], self.GENERAL),
+            (["symmetrize", "-"], self.BERN),
+            (["lowther", "--weights", "1,2,3", "--threshold", "0.8"], ""),
+        ])
+        assert len(steps) == 10
+        assert all(not modules for _, modules in steps), steps
+
+    @pytest.mark.parametrize("argv, stdin", [
+        (["bounds", "-"], BERN),
+        (["sweep", "--n", "4"], ""),
+    ])
+    def test_bounds_and_sweep_load_it(self, argv, stdin):
+        (_, at_import), (_, after_import), (_, after_run) = scipy_steps([(argv, stdin)])
+        assert not at_import and not after_import
+        assert "scipy.special" in after_run

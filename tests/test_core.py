@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 import prodtv as tv
 from oracles import (
     binomial_pmf_reference,
+    equal_marginals_per_side_reference,
     equal_marginals_reference,
+    exact_kernel_reference,
     mc_product_reference,
     random_bernoulli_pair,
     random_product_pair,
+    scan_reference,
     tv_bernoulli_brute,
     tv_fraction,
     tv_fraction_bernoulli,
@@ -361,6 +364,65 @@ class TestEqualMarginalsWindow:
         expected = (equal_marginals_reference(n, inv, 0.0)
                     / equal_marginals_reference(n, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv))
         assert tv.gap_ratio_exact(n).hex() == expected.hex()
+
+
+    def test_shared_coefficient_bit_identical(self):
+        rng = np.random.default_rng(319)
+        for _ in range(300):
+            n = int(rng.integers(1, 100_001))
+            p, q = rng.random(2).tolist()
+            assert (tv.exact_tv_equal_marginals(n, p, q).hex()
+                    == equal_marginals_per_side_reference(n, p, q).hex()), (n, p, q)
+
+
+class TestScanTotal:
+    """The kernel's O(N) total is the last element of the full scan, bit for bit."""
+
+    @staticmethod
+    def values(rng, size):
+        """Nonnegative values over many magnitudes, with zeros, so that any
+        change in the order of additions shows in the rounding."""
+        values = rng.random(size) * 10.0 ** rng.uniform(-30.0, 0.0, size)
+        values[rng.random(size) < 0.1] = 0.0
+        return values
+
+    def test_every_length_to_2099(self):
+        rng = np.random.default_rng(401)
+        for size in range(1, 2100):
+            values = self.values(rng, size)
+            assert (tv.core._scan_total(values).hex()
+                    == float(scan_reference(values)[-1]).hex()), size
+
+    @pytest.mark.parametrize("log2", range(1, 17))
+    def test_around_powers_of_two(self, log2):
+        rng = np.random.default_rng(402 + log2)
+        for size in (2 ** log2 - 1, 2 ** log2, 2 ** log2 + 1):
+            values = self.values(rng, size)
+            assert (tv.core._scan_total(values).hex()
+                    == float(scan_reference(values)[-1]).hex()), size
+
+    def test_edge_values(self):
+        for values in ([0.0], [5e-324], [1.0, 2.0 ** -53, 2.0 ** -53],
+                       [0.0] * 7, [2.0 ** -53] * 5 + [1.0], [1e-300, 1e300, 0.0]):
+            values = np.array(values)
+            assert (tv.core._scan_total(values).hex()
+                    == float(scan_reference(values)[-1]).hex()), values
+
+    def test_kernel_bit_identical(self):
+        rng = np.random.default_rng(403)
+        for _ in range(300):
+            pa, qa = random_bernoulli_pair(rng, 14)
+            rows = (np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
+            assert (tv.core._exact_tv(*rows).hex()
+                    == exact_kernel_reference(*rows).hex()), (pa, qa)
+        for _ in range(300):
+            pair = random_product_pair(rng, n_max=8, support_max=5)
+            rows = ([d.masses for d in pair.p_side], [d.masses for d in pair.q_side])
+            assert (tv.core._exact_tv(*rows).hex()
+                    == exact_kernel_reference(*rows).hex())
+        for case, rows in GENERAL_CONTRACT.items():
+            assert (tv.core._exact_tv(*rows).hex()
+                    == exact_kernel_reference(*rows).hex()), case
 
 
 class TestArgumentChecks:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
-from .core import FiniteProductPair, MarginalTV, _as_pair, _params
+from .core import FiniteProductPair, MarginalTV, ProbVector, _as_pair, _params, _unchecked
 from .reduce import ScheffeReduction, scheffe_reduce
 
 __all__ = [
@@ -133,10 +133,8 @@ def kl_bracket(pair: FiniteProductPair) -> tuple:
     states = np.arange(pair.p_masses.shape[1]) < pair.support_sizes[:, None]
     p_min = _fold(np.multiply, 1.0, pair.p_masses.min(axis=1, where=states, initial=np.inf))
     q_min = _fold(np.multiply, 1.0, pair.q_masses.min(axis=1, where=states, initial=np.inf))
-    if math.isinf(kl):
-        return None, 1.0
     upper = min(1.0, math.sqrt(0.5 * kl))
-    if not (0.0 < p_min < 0.5):
+    if math.isinf(kl) or not (0.0 < p_min < 0.5):
         return None, upper
     joint_min = min(p_min, q_min)
     lower = kl / (2.0 * math.log(1.0 / joint_min))
@@ -144,29 +142,27 @@ def kl_bracket(pair: FiniteProductPair) -> tuple:
 
 
 # What the bound families read: the marginal gaps, the pair on its active
-# coordinates (None when the sides are identical) and, when that part is
-# symmetric, its reduced p (else None).
+# coordinates and, when that part is symmetric, its reduced p as a ProbVector
+# (else None). Identical sides have no active coordinates: every family then
+# reads a pair with no coordinates and an empty p.
 _Inputs = namedtuple("_Inputs", "delta active symmetric_p")
-
-
-def _symmetric(inputs: _Inputs, bound) -> float | None:
-    if inputs.active is None:
-        return 0.0
-    return None if inputs.symmetric_p is None else bound(inputs.symmetric_p)
 
 
 # The bound families of a report, in tie-breaking order: (name of its lower
 # bound, name of its upper bound, bracket). A bracket maps the inputs to
 # (lower, upper); a side the family does not bound is None, and so is a bound
-# that does not apply. Identical sides have TV 0, and so has every sharp bound.
+# that does not apply. On a pair with no coordinates (identical sides, TV 0)
+# the Hellinger bracket gives (0.0, 0.0), KL gives (None, 0.0) and both
+# symmetric bounds give 0.0.
 _FAMILIES = (
     ("trivial", "trivial", lambda x: trivial_bracket(x.delta)),
     ("l2", None, lambda x: (l2_lower_bound(x.delta), None)),
-    ("hellinger", "hellinger",
-     lambda x: (0.0, 0.0) if x.active is None else hellinger_bracket(x.active)),
-    ("kl", "pinsker", lambda x: (None, 0.0) if x.active is None else kl_bracket(x.active)),
-    (None, "symmetric", lambda x: (None, _symmetric(x, symmetric_l2_upper_bound))),
-    (None, "affinity", lambda x: (None, _symmetric(x, symmetric_affinity_upper_bound))),
+    ("hellinger", "hellinger", lambda x: hellinger_bracket(x.active)),
+    ("kl", "pinsker", lambda x: kl_bracket(x.active)),
+    (None, "symmetric", lambda x: (None, None if x.symmetric_p is None
+                                   else symmetric_l2_upper_bound(x.symmetric_p))),
+    (None, "affinity", lambda x: (None, None if x.symmetric_p is None
+                                  else symmetric_affinity_upper_bound(x.symmetric_p))),
 )
 # The table of bounds as (side, name): a report's field side_name, lower
 # bounds first, each side in family order.
@@ -220,19 +216,18 @@ def bounds_report(pair: FiniteProductPair) -> BoundsReport:
     upper bounds are emitted only when the active coordinates are two-point
     and the reduced pair satisfies q = 1 - p within SYMMETRIC_TOLERANCE;
     two-point coordinates reduce by relabeling, so the bounds transfer to the
-    original pair.
+    original pair. A pair with identical sides takes the same path: every
+    family reads it as a pair with no coordinates, and every sharp bound is 0.
     """
     pair = _as_pair(pair)
     red = scheffe_reduce(pair)
     delta = MarginalTV(red.p.params - red.q.params)
-    inputs = _Inputs(delta, None, None)
     active = red.favored.any(axis=1)
-    if active.any():
-        p_active, q_active = red.p.params[active], red.q.params[active]
-        symmetric = np.all(pair.support_sizes[active] <= 2) and np.all(
-            np.abs(q_active - (1.0 - p_active)) <= SYMMETRIC_TOLERANCE)
-        sub = pair if active.all() else pair._take(active)
-        inputs = _Inputs(delta, sub, p_active if symmetric else None)
+    p_active, q_active = red.p.params[active], red.q.params[active]
+    symmetric = np.all(pair.support_sizes[active] <= 2) and np.all(
+        np.abs(q_active - (1.0 - p_active)) <= SYMMETRIC_TOLERANCE)
+    inputs = _Inputs(delta, pair if active.all() else pair._take(active),
+                     _unchecked(ProbVector, params=p_active) if symmetric else None)
 
     values = {}
     for low, up, bracket in _FAMILIES:
@@ -248,6 +243,9 @@ def bounds_report(pair: FiniteProductPair) -> BoundsReport:
         delta=delta,
         reduction=red,
         **values,
+        # Rounding can put a bound just outside [0, 1]: on a disjoint pair
+        # lower_hellinger can read 1.0000000000000002 against upper_trivial
+        # 1.0, and best_lower would then exceed best_upper.
         best_lower=min(1.0, max(0.0, lowers[best_lower_source])),
         best_lower_source=best_lower_source,
         best_upper=min(1.0, max(0.0, uppers[best_upper_source])),

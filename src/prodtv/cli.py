@@ -218,17 +218,14 @@ def cmd_bounds(args) -> int:
         if field.name not in ("delta", "reduction"):
             doc[field.name] = getattr(report, field.name)
     doc["ratio"] = report.ratio
-    warnings = []
     if args.exact:
         try:
             exact = _exact_tv(instance, args.budget, args.workers)
         except EnumerationBudgetError as exc:
-            warnings.append(f"exact TV omitted: {exc}")
+            doc["warnings"] = [f"exact TV omitted: {exc}"]
         else:
             _check_bracket(report, exact)
             doc["exact_tv"] = exact
-    if warnings:
-        doc["warnings"] = warnings
     _emit_scalar_doc(doc, args.format)
     return 0
 

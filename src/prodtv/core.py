@@ -297,19 +297,6 @@ def _positive_int(value, name: str) -> int:
     return int(value)
 
 
-def _tree_sum(values) -> float:
-    """Sum by pairwise reduction over the given order; independent of chunking."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
 def _product_block(mass_list) -> np.ndarray:
     """Joint masses over the given coordinates, mixed-radix indexed."""
     block = np.ones(1)
@@ -382,6 +369,7 @@ def _exact_tv(p_rows, q_rows) -> float:
     tail_q = np.append(_scan(mass_qb[order][::-1])[::-1], 0.0)
     first = np.searchsorted(ratio_b[order], threshold_a, side="right")
     terms = np.maximum(0.0, mass_pa * tail_p[first] - mass_qa * tail_q[first])
+    # Unclamped, a disjoint pair can exceed 1 by a few ulps, inside the error bound.
     return min(1.0, _scan_total(terms))
 
 
@@ -479,6 +467,7 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
         pmf_q = np.exp(log_coeff + xlogy(k, q) + xlog1py(n - k, -q))
     diff = np.zeros(n + 1)
     diff[lo:hi + 1] = np.abs(pmf_p - pmf_q)
+    # The pmf rounding can lift the sum above 1: by 7.6e-11 at n=31000, p=0.3, q=0.9.
     return min(1.0, 0.5 * float(diff.sum()))
 
 
@@ -486,7 +475,7 @@ def marginal_tv(pair: FiniteProductPair) -> MarginalTV:
     """Per-coordinate TV distances of a product pair."""
     pair = _as_pair(pair)
     deltas = 0.5 * np.abs(pair.p_masses - pair.q_masses).sum(axis=1)
-    return MarginalTV(np.minimum(1.0, deltas))
+    return MarginalTV(deltas)
 
 
 def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
@@ -540,7 +529,7 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
         done += m
     # The terms of an identical pair are -expm1(0) = -0.0; adding 0.0 makes
     # the value 0.0 whichever way a sum of them rounds its sign.
-    value = _tree_sum(batch_sums) / samples + 0.0
+    value = _scan_total(np.array(batch_sums)) / samples + 0.0
     half_width = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
     return TVEstimate(value=value, half_width=half_width,
                       confidence=float(confidence), samples=samples)

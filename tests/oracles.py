@@ -11,7 +11,16 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln, rel_entr, xlog1py, xlogy
 
-from prodtv import FiniteDist, FiniteProductPair
+from prodtv import FiniteDist, FiniteProductPair, MarginalTV, scheffe_reduce
+from prodtv.bounds import (
+    SYMMETRIC_TOLERANCE,
+    hellinger_bracket,
+    kl_bracket,
+    l2_lower_bound,
+    symmetric_affinity_upper_bound,
+    symmetric_l2_upper_bound,
+    trivial_bracket,
+)
 from prodtv.core import _MC_BATCH, _bernstein_window, _half
 
 
@@ -194,6 +203,43 @@ def mc_product_reference(p, q, samples, seed=0):
         total += float(np.maximum(0.0, 1.0 - ratios).sum())
         done += m
     return min(1.0, total / samples)
+
+
+def bounds_report_reference(pair):
+    """The fields of ``bounds_report`` (delta as its deltas, no reduction), with
+    identical sides on a branch of their own: there the Hellinger, KL and
+    symmetric families take fixed values instead of reading the active pair."""
+    red = scheffe_reduce(pair)
+    delta = MarginalTV(red.p.params - red.q.params)
+    hellinger, kl, symmetric = (0.0, 0.0), (None, 0.0), (0.0, 0.0)
+    active = red.favored.any(axis=1)
+    if active.any():
+        p_active, q_active = red.p.params[active], red.q.params[active]
+        sub = pair if active.all() else pair._take(active)
+        hellinger, kl = hellinger_bracket(sub), kl_bracket(sub)
+        symmetric = (None, None)
+        if np.all(pair.support_sizes[active] <= 2) and np.all(
+                np.abs(q_active - (1.0 - p_active)) <= SYMMETRIC_TOLERANCE):
+            symmetric = (symmetric_l2_upper_bound(p_active),
+                         symmetric_affinity_upper_bound(p_active))
+    trivial = trivial_bracket(delta)
+    lowers = {"trivial": trivial[0], "l2": l2_lower_bound(delta),
+              "hellinger": hellinger[0], "kl": kl[0]}
+    uppers = {"trivial": trivial[1], "hellinger": hellinger[1], "pinsker": kl[1],
+              "symmetric": symmetric[0], "affinity": symmetric[1]}
+    fields = {f"lower_{name}": value for name, value in lowers.items()}
+    fields.update((f"upper_{name}", value) for name, value in uppers.items())
+    lowers = {name: value for name, value in lowers.items() if value is not None}
+    uppers = {name: value for name, value in uppers.items() if value is not None}
+    best_lower_source = max(lowers, key=lowers.get)
+    best_upper_source = min(uppers, key=uppers.get)
+    fields.update(
+        best_lower=min(1.0, max(0.0, lowers[best_lower_source])),
+        best_lower_source=best_lower_source,
+        best_upper=min(1.0, max(0.0, uppers[best_upper_source])),
+        best_upper_source=best_upper_source,
+    )
+    return delta.deltas, fields
 
 
 def joint_masses(rows):

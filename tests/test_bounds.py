@@ -5,7 +5,13 @@ import pytest
 from scipy.special import rel_entr
 
 import prodtv as tv
-from oracles import joint_masses, loop_reference, random_bernoulli_pair, random_product_pair
+from oracles import (
+    bounds_report_reference,
+    joint_masses,
+    loop_reference,
+    random_bernoulli_pair,
+    random_product_pair,
+)
 
 
 class TestConstants:
@@ -308,6 +314,74 @@ class TestBoundsReport:
         pair = tv.FiniteProductPair.from_bernoulli([0.9], [0.2])
         report = tv.bounds_report(pair)
         assert report.ratio == pytest.approx(report.best_upper / report.best_lower)
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+EDGES = [0.0, 1.0, 1e-300, 1.0 - 1e-16]
+
+
+class TestIdenticalSidesTakeTheGeneralPath:
+    """The report against the body that handled identical sides on their own
+    branch: every field, both sources and the deltas, bit for bit."""
+
+    def check(self, pair):
+        report = tv.bounds_report(pair)
+        deltas, fields = bounds_report_reference(pair)
+        assert [_hex(x) for x in report.delta.deltas.tolist()] == [
+            _hex(x) for x in deltas.tolist()]
+        for name, value in fields.items():
+            assert _hex(getattr(report, name)) == _hex(value), name
+        return report
+
+    def test_identical_bernoulli_pairs(self):
+        rng = np.random.default_rng(340)
+        for p in [[x] for x in EDGES] + [EDGES, [0.3, 0.6]] + [
+                rng.random(int(rng.integers(1, 30))) for _ in range(50)]:
+            report = self.check(tv.FiniteProductPair.from_bernoulli(p, p))
+            assert report.best_lower == report.best_upper == 0.0
+
+    def test_identical_general_pairs(self):
+        rng = np.random.default_rng(341)
+        for _ in range(50):
+            rows = [rng.dirichlet(np.ones(int(k))) for k in rng.integers(3, 7, size=int(
+                rng.integers(1, 8)))]
+            if rng.random() < 0.5:
+                rows[0][int(rng.integers(len(rows[0])))] = 0.0
+                rows[0] /= rows[0].sum()
+            report = self.check(tv.FiniteProductPair(rows, rows))
+            assert report.best_upper == 0.0
+
+    def test_padded_symmetric_pairs(self):
+        rng = np.random.default_rng(342)
+        for _ in range(50):
+            p = rng.random(int(rng.integers(1, 6)))
+            pad = [rng.dirichlet(np.ones(int(k))) for k in rng.integers(2, 5, size=2)]
+            p_rows = [np.array([1.0 - x, x]) for x in p] + pad
+            q_rows = [np.array([x, 1.0 - x]) for x in p] + pad
+            report = self.check(tv.FiniteProductPair(p_rows, q_rows))
+            assert (report.upper_symmetric is None) == np.all(p == 0.5)
+
+    def test_edge_parameters(self):
+        for p in EDGES:
+            for q in EDGES:
+                self.check(tv.FiniteProductPair.from_bernoulli([p, 0.5], [q, 0.5]))
+                self.check(tv.FiniteProductPair.from_bernoulli([p, q], [q, p]))
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(343)
+        for _ in range(200):
+            self.check(tv.FiniteProductPair.from_bernoulli(*random_bernoulli_pair(rng, 20)))
+            self.check(random_product_pair(rng))
+
+    def test_disjoint_pair_keeps_best_lower_below_best_upper(self):
+        # lower_hellinger rounds to 1.0000000000000002 here; upper_trivial is 1.0.
+        report = self.check(tv.FiniteProductPair([[0.891, 0.109, 0, 0]],
+                                                 [[0, 0, 0.532, 0.468]]))
+        assert report.lower_hellinger > 1.0
+        assert report.best_lower <= report.best_upper
 
 
 def _random_rows(rng, n, k_max):

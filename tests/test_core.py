@@ -478,6 +478,13 @@ class TestMarginalTV:
     def test_three_point_example(self):
         pair = tv.FiniteProductPair(([1 / 3, 1 / 3, 1 / 3],), ([1 / 2, 1 / 4, 1 / 4],))
         assert tv.marginal_tv(pair).deltas == pytest.approx([1 / 6], abs=1e-15)
+        # Disjoint rows whose half-l1 rounds above 1 read exactly 1.0.
+        pair = tv.FiniteProductPair(
+            ([0.38505273120688543, 0.6149472687931146, 0, 0, 0, 0],),
+            ([0, 0, 0.09248836572029655, 0.6601624635384684, 0.0018435210769654337,
+              0.24550564966426958],))
+        assert 0.5 * np.abs(pair.p_masses - pair.q_masses).sum() == 1.0000000000000002
+        assert tv.marginal_tv(pair).deltas.tolist() == [1.0]
 
     def test_norm_ordering(self):
         rng = np.random.default_rng(109)
@@ -649,10 +656,10 @@ class TestMonteCarlo:
         assert est.lower == pytest.approx(1.0 - est.half_width)
 
     @pytest.mark.parametrize("n, samples", [(1, 5000), (7, 4000), (40, 3000), (300, 1000),
-                                            (1000, 400), (3, 70_000)])
+                                            (1000, 400), (3, 70_000), (3, 200_000)])
     def test_matches_product_reference(self, n, samples):
         # Far pairs (independent parameters) and near pairs (gaps of about
-        # 1/sqrt(n)); 70000 samples cross a batch boundary.
+        # 1/sqrt(n)); 70000 samples cross one batch boundary, 200000 three.
         rng = np.random.default_rng(n)
         p = rng.random(n)
         for q in (rng.random(n), np.clip(p + rng.normal(0.0, 0.5 / math.sqrt(n), n), 0.0, 1.0)):

@@ -123,7 +123,7 @@ def _parse_instance(doc, source: str) -> Instance:
             p = ProbVector(doc["p"])
             q = ProbVector(doc["q"])
             _matched_params(p, q)
-        except (InvalidDistributionError, DimensionMismatchError, TypeError) as exc:
+        except (InvalidDistributionError, DimensionMismatchError) as exc:
             raise CliParseError(f"{source}: {exc}")
         return Instance(kind="bernoulli", label=label, n=p.n, p=p, q=q)
     if general_keys != {"P", "Q"}:

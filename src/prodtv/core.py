@@ -57,8 +57,11 @@ class EnumerationBudgetError(RuntimeError):
 def _unit_interval_vector(values, what: str) -> np.ndarray:
     """A fresh float64 copy of a non-empty 1-D vector with entries in [0, 1];
     entries up to _RANGE_SLACK outside are clipped, anything else raises."""
-    arr = np.atleast_1d(np.array(values, dtype=np.float64))
-    if arr.ndim != 1 or arr.size == 0:
+    try:
+        arr = np.atleast_1d(np.array(values, dtype=np.float64))
+    except (TypeError, ValueError):  # ragged nesting, or entries that are not numbers
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.size == 0:
         raise InvalidDistributionError(f"{what} must be a non-empty 1-D vector")
     if arr.min() >= 0.0 and arr.max() <= 1.0:  # False on NaN
         return arr
@@ -432,6 +435,19 @@ def _bernstein_window(n: int, p: float, q: float) -> tuple:
     return max(0, math.floor(min(ends))), min(n, math.ceil(max(ends)))
 
 
+def _times_log(counts: np.ndarray, log_prob: float) -> np.ndarray:
+    """counts * log_prob with xlogy's convention 0 * log 0 = 0.
+
+    This is ``xlogy(counts, prob)`` for log_prob = ``xlogy(1, prob)``, except
+    that a zero count times a finite log_prob may give -0.0. That can change
+    only the sign of a zero sum, and exp maps both zeros to 1.0."""
+    with np.errstate(invalid="ignore"):
+        out = counts * log_prob
+    if math.isinf(log_prob):
+        out[counts == 0.0] = 0.0
+    return out
+
+
 def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     """Exact TV for constant-parameter Bernoulli products.
 
@@ -439,6 +455,16 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     collapses to a binomial one; the log binomial coefficients are computed
     once and serve both sides. The tests hold it to the exact kernel's error
     bound against rational TV for n <= 12.
+
+    The log-mass at count k is gammaln(n + 1) - gammaln(k + 1) -
+    gammaln(n - k + 1) + k log p + (n - k) log1p(-p). The log factors are two
+    scalars per side, ``xlogy(1, p)`` and ``xlog1py(1, -p)``, each multiplied
+    by the counts, with xlogy's 0 log 0 = 0 where a count is 0. Where the
+    counts [lo, hi] and [n - hi, n - lo] overlap or touch, as they do for a
+    window symmetric about n / 2, one gammaln table over their hull gives both
+    log factorials; otherwise each takes its own pass. These are the products
+    and gammaln values that ``xlogy(k, p)``, ``xlog1py(n - k, -p)`` and
+    ``gammaln`` on each count compute, so no output bit changes.
 
     The log-masses are evaluated only on the Bernstein window of both sides
     (``_bernstein_window``): at most 78 sqrt(n p (1 - p)) + 1016 counts around
@@ -461,10 +487,22 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
 
     lo, hi = _bernstein_window(n, p, q)
     k = np.arange(lo, hi + 1, dtype=np.float64)
-    log_coeff = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    rest = n - k
+    # The counts n - k run over [n - hi, n - lo]; when the hull of that range
+    # and [lo, hi] is no longer than the two together, they overlap or touch.
+    start, stop = min(lo, n - hi), max(hi, n - lo)
+    if stop - start <= 2 * (hi - lo) + 1:
+        table = gammaln(np.arange(start, stop + 1, dtype=np.float64) + 1.0)
+        log_k_fact = table[lo - start:hi - start + 1]
+        log_rest_fact = table[n - hi - start:n - lo - start + 1][::-1]
+    else:
+        log_k_fact, log_rest_fact = gammaln(k + 1), gammaln(rest + 1)
+    log_coeff = gammaln(n + 1) - log_k_fact - log_rest_fact
     with np.errstate(divide="ignore"):
-        pmf_p = np.exp(log_coeff + xlogy(k, p) + xlog1py(n - k, -p))
-        pmf_q = np.exp(log_coeff + xlogy(k, q) + xlog1py(n - k, -q))
+        pmf_p = np.exp(log_coeff + _times_log(k, xlogy(1.0, p))
+                       + _times_log(rest, xlog1py(1.0, -p)))
+        pmf_q = np.exp(log_coeff + _times_log(k, xlogy(1.0, q))
+                       + _times_log(rest, xlog1py(1.0, -q)))
     diff = np.zeros(n + 1)
     diff[lo:hi + 1] = np.abs(pmf_p - pmf_q)
     # The pmf rounding can lift the sum above 1: by 7.6e-11 at n=31000, p=0.3, q=0.9.
@@ -486,7 +524,12 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
     lies in [0, 1], so the half-width is the Hoeffding bound
     sqrt(ln(2/(1-confidence)) / (2*samples)). The stream is drawn from a
     counter-based Philox generator in fixed-size batches of (m, n) uniforms,
-    coordinate i of a sample being a one when its uniform is below p_i.
+    coordinate i of a sample being a one when its uniform is below p_i. The
+    uniforms are not formed: ``Generator.random`` would make each raw 64-bit
+    word w into u = (w >> 11) * 2**-53, so the test u < p_i is made exactly
+    as the integer comparison w >> 11 < ceil(p_i * 2**53). These are the same
+    draws and the same bits as comparing ``Generator.random`` with p_i; p_i = 1
+    gives the cut 2**53 (always a one) and p_i = 0 the cut 0 (never).
 
     Each sample's log-likelihood ratio log Q(X) - log P(X) is summed one
     coordinate at a time, left to right, from log q_i - log p_i for a one and
@@ -514,13 +557,17 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
         log_ratios = np.stack([np.where(pa < 1.0, np.log1p(-qa) - np.log1p(-pa), 0.0),
                                np.where(pa > 0.0, np.log(qa) - np.log(pa), 0.0)], axis=1)
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    # p_i * 2**53 is exact (a power-of-two scaling), so its ceiling is too.
+    cuts = np.ceil(pa * 2.0 ** 53).astype(np.uint64)
+    bit_gen = np.random.Philox(key=int(seed))
     batch_sums = []
     done = 0
     while done < samples:
         m = min(_MC_BATCH, samples - done)
+        words = bit_gen.random_raw((m, pa.size))
+        words >>= np.uint64(11)
         # Outcome bits (1 for a one), one contiguous row per coordinate.
-        bits = np.ascontiguousarray((rng.random((m, pa.size)) < pa).T).view(np.uint8)
+        bits = np.ascontiguousarray((words < cuts).T).view(np.uint8)
         llr = np.zeros(m)
         for coord_bits, coord_ratios in zip(bits, log_ratios):
             llr += coord_ratios.take(coord_bits)

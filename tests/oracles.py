@@ -205,6 +205,28 @@ def mc_product_reference(p, q, samples, seed=0):
     return min(1.0, total / samples)
 
 
+def mc_estimate_reference(p, q, samples, seed=0):
+    """The value of ``mc_tv_estimate`` with each uniform drawn by
+    ``Generator.random`` and compared with p_i as a double."""
+    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratios = np.stack([np.where(pa < 1.0, np.log1p(-qa) - np.log1p(-pa), 0.0),
+                               np.where(pa > 0.0, np.log(qa) - np.log(pa), 0.0)], axis=1)
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    batch_sums = []
+    done = 0
+    while done < samples:
+        m = min(_MC_BATCH, samples - done)
+        bits = np.ascontiguousarray((rng.random((m, pa.size)) < pa).T).view(np.uint8)
+        llr = np.zeros(m)
+        for coord_bits, coord_ratios in zip(bits, log_ratios):
+            llr += coord_ratios.take(coord_bits)
+        terms = -np.expm1(np.minimum(llr, 0.0))
+        batch_sums.append(float(terms.sum()))
+        done += m
+    return float(scan_reference(batch_sums)[-1]) / samples + 0.0
+
+
 def bounds_report_reference(pair):
     """The fields of ``bounds_report`` (delta as its deltas, no reduction), with
     identical sides on a branch of their own: there the Hellinger, KL and

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -121,6 +122,16 @@ class TestInstanceParsing:
         code, _, err = run(capsys, ["bounds", path])
         assert code == EXIT_PARSE
         assert "outside [0, 1]" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"p": [[0.2, 0.3, 0.5], [0.6, 0.4]], "q": [[0.5, 0.3, 0.2], [0.1, 0.9]]},
+        {"p": [0.2, [0.3]], "q": [0.5, 0.4]},
+    ], ids=["mass-rows-as-p", "nested-entry"])
+    def test_ragged_parameters(self, monkeypatch, capsys, doc):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, ["reduce", "-"])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: -: params must be a non-empty 1-D vector\n"
 
     @pytest.mark.parametrize("command", ["exact", "mc", "symmetrize", "bounds", "reduce"])
     def test_mismatched_lengths(self, tmp_path, capsys, command):

@@ -12,6 +12,7 @@ from oracles import (
     equal_marginals_per_side_reference,
     equal_marginals_reference,
     exact_kernel_reference,
+    mc_estimate_reference,
     mc_product_reference,
     random_bernoulli_pair,
     random_product_pair,
@@ -365,6 +366,62 @@ class TestEqualMarginalsWindow:
                     / equal_marginals_reference(n, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv))
         assert tv.gap_ratio_exact(n).hex() == expected.hex()
 
+    @staticmethod
+    def touching_q(n, hi):
+        """A q at which the window of (0, q) ends at count hi."""
+        below, above = 0.0, 0.5
+        for _ in range(60):
+            mid = 0.5 * (below + above)
+            if tv.core._bernstein_window(n, 0.0, mid)[1] >= hi:
+                above = mid
+            else:
+                below = mid
+        assert tv.core._bernstein_window(n, 0.0, above)[1] == hi
+        return above
+
+    @staticmethod
+    def arm(n, p, q):
+        """How the count ranges [lo, hi] and [n - hi, n - lo] of a window meet."""
+        lo, hi = tv.core._bernstein_window(n, p, q)
+        first_end, second_start = min(hi, n - lo), max(lo, n - hi)
+        return ("identical" if lo == n - hi else "overlap" if second_start <= first_end
+                else "adjacent" if second_start == first_end + 1 else "disjoint")
+
+    def arm_cases(self):
+        gap = [(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n) for n in (91000, 10 ** 6)]
+        offset = [(10 ** 5, 0.3, 0.6), (10 ** 5, 0.45, 0.55), (10 ** 5, 0.4, 0.55)]
+        # A window is the hull of both sides' reaches, so q = 1 - p gives identical
+        # ranges; (0.01, 0.05) keeps both sides below n/2.
+        disjoint = [(n, 1.0 / n, 0.0) for n in (91000, 10 ** 6)] + [(10 ** 5, 0.01, 0.05)]
+        # Ranges that share their one end count, abut, and miss by one count.
+        touching = [(20000, 0.0, self.touching_q(20000, 10000)),
+                    (20001, 0.0, self.touching_q(20001, 10000)),
+                    (20000, 0.0, self.touching_q(20000, 9999))]
+        infinite = [(n, p, q) for n in (1, 2, 7, 50, 5000, 91000)
+                    for p, q in ((0.0, 0.3), (1.0, 0.3), (0.3, 0.0), (0.3, 1.0), (0.0, 1.0),
+                                 (1.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.0, 5e-324),
+                                 (1.0, 1.0 - 1e-16))]
+        return gap + offset + disjoint + touching + infinite
+
+    def test_shared_table_arms_bit_identical(self, monkeypatch):
+        import scipy.special
+
+        calls = []
+        gammaln = scipy.special.gammaln
+        monkeypatch.setattr(scipy.special, "gammaln",
+                            lambda x: calls.append(np.ndim(x)) or gammaln(x))
+        cases = self.arm_cases()
+        assert [self.arm(*case) for case in cases[:11]] == [
+            "identical", "identical", "overlap", "identical", "overlap",
+            "disjoint", "disjoint", "disjoint", "overlap", "adjacent", "disjoint"]
+        for n, p, q in cases:
+            arm = self.arm(n, p, q)
+            calls.clear()
+            value = tv.exact_tv_equal_marginals(n, p, q)
+            # One table where the ranges meet, two passes where they do not,
+            # besides the scalar gammaln(n + 1).
+            assert calls.count(1) == (2 if arm == "disjoint" else 1), (n, p, q, arm)
+            assert value.hex() == equal_marginals_reference(n, p, q).hex(), (n, p, q)
 
     def test_shared_coefficient_bit_identical(self):
         rng = np.random.default_rng(319)
@@ -506,6 +563,13 @@ class TestValidation:
             tv.ProbVector([float("nan")])
         with pytest.raises(tv.InvalidDistributionError):
             tv.ProbVector([])
+
+    @pytest.mark.parametrize("values", [[[0.2, 0.3, 0.5], [0.6, 0.4]], [0.2, [0.3]],
+                                        ["a", 0.5], [{}, 0.5]])
+    def test_prob_vector_not_a_vector_of_numbers(self, values):
+        with pytest.raises(tv.InvalidDistributionError,
+                           match=r"^params must be a non-empty 1-D vector$"):
+            tv.ProbVector(values)
 
     def test_finite_dist(self):
         with pytest.raises(tv.InvalidDistributionError):
@@ -682,6 +746,24 @@ class TestMonteCarlo:
         assert 0.0 <= est.value <= 1.0
         assert est.value == pytest.approx(mc_product_reference(p, q, 5000, 8),
                                           rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n, samples", [(1, 1), (300, 1), (4, 65535), (5, 65536),
+                                            (6, 65537), (3, 131073), (300, 700), (60, 3000)])
+    def test_matches_generator_reference_bit_for_bit(self, n, samples):
+        # The edge parameters sit at either end of the comparison: 0 and 1 are
+        # never and always a one, 5e-324 only when w >> 11 is 0, and 1 - 1e-16
+        # unless w >> 11 is 2**53 - 1.
+        rng = np.random.default_rng(1000 + n + samples)
+        for _ in range(3):
+            p, q = rng.random(n), rng.random(n)
+            for side in (p, q):
+                edge = rng.random(n) < 0.3
+                side[edge] = rng.choice([0.0, 1.0, 5e-324, 1.0 - 1e-16], int(edge.sum()))
+            same = rng.random(n) < 0.3
+            q[same] = p[same]
+            seed = int(rng.integers(1 << 31))
+            assert (tv.mc_tv_estimate(p, q, samples=samples, seed=seed).value.hex()
+                    == mc_estimate_reference(p, q, samples, seed).hex()), (n, samples, seed)
 
     def test_impossible_states_count_as_one(self):
         # Q cannot produce a one in the first coordinate; elsewhere P = Q, so

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .bounds import bounds_report
 from .core import (
@@ -89,50 +90,42 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _load_json(path: str):
+def _read_instance(args, bernoulli: bool = False) -> Instance:
+    """Read, decode, parse and check the instance ``args.instance``, a path or
+    - for stdin; ``bernoulli`` requires the p/q shape. Every failure is a
+    CliParseError whose message starts with that source."""
+    source = args.instance
     try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-    except OSError as exc:
-        raise CliParseError(f"cannot read {path}: {exc}")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliParseError(f"{path}: invalid JSON: {exc}")
-
-
-def _parse_instance(doc, source: str) -> Instance:
+        doc = json.loads(sys.stdin.read() if source == "-"
+                         else Path(source).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
+        raise CliParseError(f"{source}: invalid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliParseError(f"{source}: cannot read: {exc}")
     if not isinstance(doc, dict):
         raise CliParseError(f"{source}: instance must be a JSON object")
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise CliParseError(f"{source}: label must be a string")
-    bernoulli_keys = {"p", "q"} & doc.keys()
-    general_keys = {"P", "Q"} & doc.keys()
+    bernoulli_keys, general_keys = {"p", "q"} & doc.keys(), {"P", "Q"} & doc.keys()
     if bool(bernoulli_keys) == bool(general_keys):
-        raise CliParseError(
-            f"{source}: provide exactly one instance shape, either p/q or P/Q"
-        )
-    if bernoulli_keys:
-        if bernoulli_keys != {"p", "q"}:
-            raise CliParseError(f"{source}: a Bernoulli instance needs both p and q")
-        try:
-            p = ProbVector(doc["p"])
-            q = ProbVector(doc["q"])
-            _matched_params(p, q)
-        except (InvalidDistributionError, DimensionMismatchError) as exc:
-            raise CliParseError(f"{source}: {exc}")
-        return Instance(kind="bernoulli", label=label, n=p.n, p=p, q=q)
-    if general_keys != {"P", "Q"}:
+        raise CliParseError(f"{source}: provide exactly one instance shape, either p/q or P/Q")
+    if bernoulli_keys and bernoulli_keys != {"p", "q"}:
+        raise CliParseError(f"{source}: a Bernoulli instance needs both p and q")
+    if general_keys and general_keys != {"P", "Q"}:
         raise CliParseError(f"{source}: a general instance needs both P and Q")
+    if general_keys and bernoulli:
+        raise CliParseError(
+            f"{source}: {args.command} requires a Bernoulli instance (p/q shape)")
     try:
-        pair = FiniteProductPair(doc["P"], doc["Q"])
+        if general_keys:
+            pair = FiniteProductPair(doc["P"], doc["Q"])
+            return Instance(kind="general", label=label, n=pair.n, general_pair=pair)
+        p, q = ProbVector(doc["p"]), ProbVector(doc["q"])
+        _matched_params(p, q)
+        return Instance(kind="bernoulli", label=label, n=p.n, p=p, q=q)
     except (InvalidDistributionError, DimensionMismatchError) as exc:
         raise CliParseError(f"{source}: {exc}")
-    return Instance(kind="general", label=label, n=pair.n, general_pair=pair)
 
 
 def _print_json(doc) -> None:
@@ -208,7 +201,7 @@ def _check_bracket(report, exact: float) -> None:
 
 
 def cmd_bounds(args) -> int:
-    instance = _parse_instance(_load_json(args.instance), args.instance)
+    instance = _read_instance(args)
     report = bounds_report(instance.pair)
     doc = _base_doc(instance)
     doc["delta_linf"] = report.delta.linf
@@ -231,7 +224,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    instance = _parse_instance(_load_json(args.instance), args.instance)
+    instance = _read_instance(args)
     doc = _base_doc(instance)
     doc["tv"] = _exact_tv(instance, args.budget, args.workers)
     _emit_scalar_doc(doc, args.format)
@@ -239,9 +232,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    instance = _parse_instance(_load_json(args.instance), args.instance)
-    if instance.kind != "bernoulli":
-        raise CliParseError("mc requires a Bernoulli instance (p/q shape)")
+    instance = _read_instance(args, bernoulli=True)
     estimate = mc_tv_estimate(instance.p, instance.q, samples=args.samples,
                               confidence=args.confidence, seed=args.seed)
     doc = _base_doc(instance)
@@ -260,9 +251,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_symmetrize(args) -> int:
-    instance = _parse_instance(_load_json(args.instance), args.instance)
-    if instance.kind != "bernoulli":
-        raise CliParseError("symmetrize requires a Bernoulli instance (p/q shape)")
+    instance = _read_instance(args, bernoulli=True)
     sym, channels = apply_channel_product(instance.p, instance.q)
     doc = _base_doc(instance)
     doc["gamma_hat"] = [float(x) for x in sym.gamma_hat]
@@ -275,7 +264,7 @@ def cmd_symmetrize(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    instance = _parse_instance(_load_json(args.instance), args.instance)
+    instance = _read_instance(args)
     reduction = scheffe_reduce(instance.pair)
     doc = _base_doc(instance)
     doc["p"] = [float(x) for x in reduction.p.params]

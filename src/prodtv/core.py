@@ -101,9 +101,9 @@ def _mass_rows(rows, side: str | None = None) -> tuple:
     """
     try:
         masses = np.array(rows, dtype=np.float64)
-        if masses.ndim not in (1, 2):
+        masses = masses.reshape(0, 0) if masses.shape == (0,) else masses  # no rows
+        if masses.ndim != 2:
             raise ValueError(f"{masses.ndim}-D rows")
-        masses = masses[:, None] if masses.ndim == 1 else masses  # scalar rows: one state
         sizes = np.full(len(masses), masses.shape[1])
     except (TypeError, ValueError):  # rows of different lengths
         try:
@@ -295,9 +295,23 @@ def _matched_params(p, q) -> tuple:
 
 def _positive_int(value, name: str) -> int:
     """An int (or numpy integer) of at least 1 as a Python int; ValueError otherwise."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def _check_budget(sizes, budget_log2: int | None) -> None:
+    """The budget rule of both exact entries: the joint support, the product
+    of ``sizes``, must be at most 2**budget_log2 (DEFAULT_BUDGET_LOG2 when
+    None), or EnumerationBudgetError is raised. The Python-int product stops
+    once it passes the budget, and the message never formats the support."""
+    budget = DEFAULT_BUDGET_LOG2 if budget_log2 is None else int(budget_log2)
+    support = 1
+    for size in sizes:
+        support *= size
+        if (support - 1).bit_length() > budget:  # support > 2**budget, for any budget
+            raise EnumerationBudgetError(f"joint support exceeds the 2^{budget} "
+                                         f"enumeration budget (n = {len(sizes)})")
 
 
 def _product_block(mass_list) -> np.ndarray:
@@ -380,17 +394,12 @@ def exact_tv_bernoulli(p, q, *, budget_log2: int | None = None, workers: int = 1
     """Exact TV distance between two Bernoulli product distributions.
 
     The 2**n joint outcomes are summed by the meet-in-the-middle kernel in
-    O(2**(n/2) n) time; n is still capped at ``budget_log2``
-    (DEFAULT_BUDGET_LOG2 unless overridden). ``workers`` is accepted for
-    compatibility and does not change the result or start threads.
+    O(2**(n/2) n) time; the joint support 2**n must fit the enumeration
+    budget (``_check_budget``, the rule of both exact entries). ``workers`` is
+    accepted for compatibility and does not change the result or start threads.
     """
     pa, qa = _matched_params(p, q)
-    n = pa.size
-    budget = DEFAULT_BUDGET_LOG2 if budget_log2 is None else int(budget_log2)
-    if n > budget:
-        raise EnumerationBudgetError(
-            f"2^{n} outcomes exceed the 2^{budget} enumeration budget"
-        )
+    _check_budget([2] * pa.size, budget_log2)
     return _exact_tv(np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
 
 
@@ -399,17 +408,12 @@ def exact_tv_general(pair: FiniteProductPair, *, budget_log2: int | None = None,
     """Exact TV distance between two general finite product distributions.
 
     The joint support (product of per-coordinate support sizes) must fit the
-    enumeration budget, although the meet-in-the-middle kernel only visits
-    about its square root. ``workers`` is accepted and does not change the
-    result.
+    enumeration budget (``_check_budget``), although the meet-in-the-middle
+    kernel only visits about its square root. ``workers`` is accepted and
+    does not change the result.
     """
     pair = _as_pair(pair)
-    total_support = pair.joint_support()
-    budget = DEFAULT_BUDGET_LOG2 if budget_log2 is None else int(budget_log2)
-    if total_support > (1 << budget):
-        raise EnumerationBudgetError(
-            f"joint support {total_support} exceeds the 2^{budget} enumeration budget"
-        )
+    _check_budget(pair.support_sizes.tolist(), budget_log2)
     return _exact_tv(_unpadded(pair.p_masses, pair.support_sizes),
                      _unpadded(pair.q_masses, pair.support_sizes))
 
@@ -539,7 +543,8 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
     ratio -inf, which marks the sample: no log ratio is +inf, so its sum stays
     -inf and its term is exactly 1. The order of every operation is fixed (no
     BLAS, whose summation order depends on the build and thread count), so
-    the estimate is a pure function of (seed, samples).
+    the estimate is a pure function of (seed, samples); ``seed``, the Philox
+    key, must be an integer in [0, 2**128).
 
     No clamp is applied: every term lies in [0, 1] and float rounding is
     monotone, so no partial sum exceeds its count and the value lies in
@@ -548,6 +553,9 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
     """
     pa, qa = _matched_params(p, q)
     samples = _positive_int(samples, "samples")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
 

@@ -141,6 +141,89 @@ class TestInstanceParsing:
         assert err == f"error: {path}: p has length 2, q has length 1\n"
 
 
+    @pytest.mark.parametrize("doc, message", [
+        ([0.5, 0.5], "instance must be a JSON object"),
+        ({"p": [0.5], "q": [0.5], "label": 7}, "label must be a string"),
+        ({"P": [[0.5, 0.5]]}, "a general instance needs both P and Q"),
+        ({"P": [0.2, 0.8], "Q": [0.5, 0.5]}, "P must be a sequence of 1-D mass rows"),
+    ], ids=["list", "label-not-string", "P-without-Q", "flat-P"])
+    def test_shape_errors_name_the_source(self, tmp_path, capsys, doc, message):
+        path = write_instance(tmp_path, doc)
+        code, out, err = run(capsys, ["bounds", path])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: {path}: {message}\n"
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code, out, err = run(capsys, ["bounds", str(path)])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"error: {path}: cannot read: ")
+
+    def test_nesting_past_the_recursion_limit(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+        code, out, err = run(capsys, ["bounds", "-"])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: -: invalid JSON: maximum recursion depth exceeded")
+
+    def test_unreadable_path_names_it(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["exact", str(tmp_path)])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"error: {tmp_path}: cannot read: ")
+
+    @pytest.mark.parametrize("command", ["mc", "symmetrize"])
+    def test_bernoulli_only_commands_name_the_source(self, monkeypatch, capsys, command):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(GENERAL_MIXED)))
+        code, out, err = run(capsys, [command, "-"])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: -: {command} requires a Bernoulli instance (p/q shape)\n"
+
+
+class TestBudgetRule:
+    """One budget rule for both instance shapes: joint support <= 2**budget."""
+
+    PQ = {"P": [[0.5, 0.5], [0.2, 0.8]], "Q": [[0.4, 0.6], [0.3, 0.7]]}
+    PQ_AS_BERNOULLI = {"p": [0.5, 0.8], "q": [0.6, 0.7]}
+
+    def test_negative_budget_refuses_both_shapes_alike(self, tmp_path, capsys):
+        errors = set()
+        for doc in (self.PQ, self.PQ_AS_BERNOULLI):
+            path = write_instance(tmp_path, doc)
+            code, out, err = run(capsys, ["exact", path, "--budget", "-1"])
+            assert (code, out) == (EXIT_BUDGET, "")
+            errors.add(err)
+        assert errors == {"error: joint support exceeds the 2^-1 enumeration budget (n = 2)\n"}
+
+    def test_bounds_exact_negative_budget_warns(self, tmp_path, capsys):
+        path = write_instance(tmp_path, self.PQ)
+        code, out, err = run(capsys, ["bounds", path, "--exact", "--budget", "-1"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert "exact_tv" not in doc
+        assert doc["warnings"] == [
+            "exact TV omitted: joint support exceeds the 2^-1 enumeration budget (n = 2)"]
+
+    def test_support_past_int_string_limit(self, tmp_path, capsys):
+        # 2**15000 has 4516 digits, past the 4300 that str(int) accepts.
+        n = 15000
+        path = write_instance(tmp_path, {"P": [[0.5, 0.5]] * n, "Q": [[0.4, 0.6]] * n})
+        code, out, err = run(capsys, ["exact", path])
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == f"error: joint support exceeds the 2^26 enumeration budget (n = {n})\n"
+        code, out, err = run(capsys, ["bounds", path, "--exact"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["warnings"] == [
+            f"exact TV omitted: joint support exceeds the 2^26 enumeration budget (n = {n})"]
+
+    def test_support_at_budget_runs(self, tmp_path, capsys):
+        path = write_instance(tmp_path, {"P": [[0.5, 0.5]] * 3, "Q": [[0.4, 0.6]] * 3})
+        code, out, _ = run(capsys, ["exact", path, "--budget", "3"])
+        assert code == 0 and json.loads(out)["tv"] > 0.0
+        path = write_instance(tmp_path, {"P": [[0.2, 0.3, 0.5]] * 2, "Q": [[0.5, 0.3, 0.2]] * 2})
+        code, out, _ = run(capsys, ["exact", path, "--budget", "3"])
+        assert (code, out) == (EXIT_BUDGET, "")
+
+
 class TestExactCommand:
     def test_bernoulli(self, tmp_path, capsys):
         path = write_instance(tmp_path, {"p": [0.5, 0.5], "q": [0.0, 0.0]})
@@ -250,6 +333,28 @@ class TestGapCommand:
         code, _, _ = run(capsys, ["gap", "--n-range", "4:x"])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("spec", ["1:2:3:4", "5:3"])
+    def test_malformed_ranges(self, capsys, spec):
+        code, out, err = run(capsys, ["gap", "--n-range", spec])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (f"error: invalid --n-range {spec!r}; "
+                       "use N, A:B, A:B:STEP, or a comma list\n")
+
+    def test_single_size_range(self, capsys):
+        code, out, _ = run(capsys, ["gap", "--n-range", "7"])
+        assert (code, out) == run(capsys, ["gap", "--n", "7"])[:2]
+        assert len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("command", ["gap", "sweep"])
+    def test_text_format_two_sizes(self, capsys, command):
+        code, out, err = run(capsys, [command, "--n-range", "3,5", "--format", "text"])
+        assert (code, err) == (0, "")
+        blocks = [line.split() for line in out.splitlines() if line.startswith("n ")]
+        assert blocks == [["n", "3"], ["n", "5"]]
+        keys = [line.split()[0] for line in out.splitlines()]
+        columns = cli.GAP_COLUMNS if command == "gap" else cli.SWEEP_COLUMNS
+        assert keys == list(columns) * 2
+
 
 class TestSweepCommand:
     def test_single_row(self, capsys):
@@ -291,6 +396,11 @@ class TestLowtherCommand:
     def test_bad_weight_list_is_parse_error(self, capsys):
         code, _, _ = run(capsys, ["lowther", "--weights", "1,a", "--threshold", "1"])
         assert code == EXIT_PARSE
+
+    def test_empty_weight_list_is_parse_error(self, capsys):
+        code, out, err = run(capsys, ["lowther", "--weights", ",", "--threshold", "1"])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: --weights must contain at least one value\n"
 
 
 # Fixed instances whose CLI output is pinned byte for byte below.
@@ -556,6 +666,14 @@ class TestExactBracketCheck:
         assert out == ""
         assert "best_upper 0.0" in err
         assert repr(exact) in err
+
+    def test_exact_below_best_lower_is_domain_error(self, tmp_path, monkeypatch, capsys):
+        path = write_instance(tmp_path, {"p": [0.9, 0.3], "q": [0.2, 0.8]})
+        monkeypatch.setattr(cli, "exact_tv_bernoulli", lambda *args, **kwargs: 0.0)
+        code, out, err = run(capsys, ["bounds", path, "--exact"])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: exact TV 0.0 lies below best_lower 0.")
+        assert err.endswith("the bracket is violated\n")
 
     def test_bounds_alone_still_report(self, tmp_path, capsys):
         path, _, _ = self.near_identical(tmp_path)

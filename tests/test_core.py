@@ -143,6 +143,46 @@ class TestExactGeneral:
             tv.exact_tv_general(pair, budget_log2=7)
 
 
+class TestBudgetRule:
+    """Both exact entries take the one budget rule: joint support <= 2**budget."""
+
+    def test_support_at_budget_runs_and_above_is_refused(self):
+        pair = tv.FiniteProductPair.from_bernoulli([0.5] * 3, [0.4] * 3)
+        assert tv.exact_tv_general(pair, budget_log2=3) >= 0.0
+        assert tv.exact_tv_bernoulli([0.5] * 3, [0.4] * 3, budget_log2=3) >= 0.0
+        three = tv.FiniteProductPair(([0.2, 0.3, 0.5],) * 2, ([0.5, 0.3, 0.2],) * 2)
+        with pytest.raises(tv.EnumerationBudgetError):
+            tv.exact_tv_general(three, budget_log2=3)
+        assert tv.exact_tv_general(three, budget_log2=4) >= 0.0
+
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_negative_budget_refuses_both_shapes_alike(self, budget):
+        p, q = [0.5, 0.2], [0.4, 0.7]
+        with pytest.raises(tv.EnumerationBudgetError) as bernoulli:
+            tv.exact_tv_bernoulli(p, q, budget_log2=budget)
+        with pytest.raises(tv.EnumerationBudgetError) as general:
+            tv.exact_tv_general(tv.FiniteProductPair.from_bernoulli(p, q), budget_log2=budget)
+        assert str(bernoulli.value) == str(general.value)
+        assert str(general.value) == (
+            f"joint support exceeds the 2^{budget} enumeration budget (n = 2)")
+
+    def test_support_beyond_int_string_limit_is_refused(self):
+        # 2**15000 has 4516 digits, past the 4300 that str(int) accepts.
+        pair = tv.FiniteProductPair.from_bernoulli([0.5] * 15000, [0.4] * 15000)
+        with pytest.raises(tv.EnumerationBudgetError, match=r"\(n = 15000\)$"):
+            tv.exact_tv_general(pair)
+        with pytest.raises(tv.EnumerationBudgetError, match=r"\(n = 15000\)$"):
+            tv.exact_tv_bernoulli([0.5] * 15000, [0.4] * 15000)
+
+    def test_refusal_builds_no_rows(self, monkeypatch):
+        monkeypatch.setattr(tv.core, "_unpadded", lambda *args: pytest.fail("rows built"))
+        sizes = [3] * 100_000
+        pair = tv.FiniteProductPair([[0.2, 0.3, 0.5]] * len(sizes),
+                                    [[0.5, 0.3, 0.2]] * len(sizes))
+        with pytest.raises(tv.EnumerationBudgetError):
+            tv.exact_tv_general(pair)
+
+
 def exact_error_bound(n, joint_support):
     """The exact kernel's documented absolute error bound."""
     return (16 * n + 8 * math.log2(joint_support) + 32) * 2.0 ** -53
@@ -507,6 +547,22 @@ class TestArgumentChecks:
         (lambda: tv.MarginalTV([0.25, 1.0 + 1e-9]),
          f"deltas[1] = {np.float64(1.0 + 1e-9)!r} outside [0, 1]"),
         (lambda: tv.MarginalTV([float("nan")]), "deltas contains non-finite entries"),
+        (lambda: tv.mc_tv_estimate([0.5], [0.5], samples=True),
+         "samples must be a positive integer, got True"),
+        (lambda: tv.exact_tv_equal_marginals(True, 0.5, 0.5),
+         "n must be a positive integer, got True"),
+        (lambda: tv.mc_tv_estimate([0.5], [0.5], 10, seed=1.5),
+         "seed must be an integer in [0, 2**128), got 1.5"),
+        (lambda: tv.mc_tv_estimate([0.5], [0.5], 10, seed="3"),
+         "seed must be an integer in [0, 2**128), got '3'"),
+        (lambda: tv.mc_tv_estimate([0.5], [0.5], 10, seed=True),
+         "seed must be an integer in [0, 2**128), got True"),
+        (lambda: tv.mc_tv_estimate([0.5], [0.5], 10, seed=-1),
+         "seed must be an integer in [0, 2**128), got -1"),
+        (lambda: tv.mc_tv_estimate([0.5], [0.5], 10, seed=2 ** 128),
+         f"seed must be an integer in [0, 2**128), got {2 ** 128}"),
+        (lambda: tv.mc_tv_estimate([0.5], [0.5], 10, seed=np.int64(-2)),
+         f"seed must be an integer in [0, 2**128), got {np.int64(-2)!r}"),
     ])
     def test_messages(self, call, message):
         with pytest.raises(ValueError) as info:
@@ -520,6 +576,11 @@ class TestArgumentChecks:
         assert (tv.exact_tv_equal_marginals(n, 0.3, 0.6)
                 == tv.exact_tv_equal_marginals(6, 0.3, 0.6))
         assert tv.mc_tv_estimate([0.5], [0.2], samples=np.int64(10)).samples == 10
+        p, q = [0.5, 0.3, 0.9], [0.1, 0.3, 0.2]
+        assert (tv.mc_tv_estimate(p, q, 5000, seed=np.int64(7))
+                == tv.mc_tv_estimate(p, q, 5000, seed=7))
+        assert (tv.mc_tv_estimate(p, q, 5000, seed=np.uint64(2 ** 64 - 1))
+                == tv.mc_tv_estimate(p, q, 5000, seed=2 ** 64 - 1))
 
 
 class TestMarginalTV:
@@ -554,6 +615,10 @@ class TestMarginalTV:
 
 
 class TestValidation:
+    def test_prob_vector_length(self):
+        assert len(tv.ProbVector([0.5, 0.25, 1.0])) == 3
+        assert len(tv.ProbVector(0.5)) == 1
+
     def test_prob_vector_range(self):
         with pytest.raises(tv.InvalidDistributionError):
             tv.ProbVector([0.5, 1.2])
@@ -666,6 +731,20 @@ class TestArrayForm:
             tv.FiniteProductPair(([float("nan"), 1.0],), ([0.5, 0.5],))
         with pytest.raises(tv.InvalidDistributionError, match="sequence of 1-D mass rows"):
             tv.FiniteProductPair(([0.5, 0.5],), 7)
+        # A flat side is not n one-state rows.
+        with pytest.raises(tv.InvalidDistributionError,
+                           match=r"^P must be a sequence of 1-D mass rows$"):
+            tv.FiniteProductPair([0.2, 0.8], [0.5, 0.5])
+        with pytest.raises(tv.InvalidDistributionError,
+                           match=r"^P must be a sequence of 1-D mass rows$"):
+            tv.FiniteProductPair([1.0, 1.0], [1.0, 1.0])
+        for scalar in (0.5, 1.0):
+            with pytest.raises(tv.InvalidDistributionError,
+                               match=r"^masses must be a non-empty 1-D vector$"):
+                tv.FiniteDist(scalar)
+        with pytest.raises(tv.InvalidDistributionError,
+                           match=r"^a product pair needs at least one coordinate$"):
+            tv.FiniteProductPair([], [])
 
     def test_joint_support_beyond_int64(self):
         # An int64 product of 64 twos wraps to 0, which would pass any budget.

@@ -16,7 +16,8 @@ from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
-from .core import FiniteProductPair, MarginalTV, ProbVector, _as_pair, _params, _unchecked
+from .core import (FiniteProductPair, MarginalTV, ProbVector, _as_pair, _l2_norm, _params,
+                   _unchecked)
 from .reduce import ScheffeReduction, scheffe_reduce
 
 __all__ = [
@@ -72,13 +73,13 @@ def trivial_bracket(delta) -> tuple:
 def l2_lower_bound(delta) -> float:
     """0.1798 * min(1, ||delta||_2), valid for every product pair."""
     d = _deltas(delta)
-    return LOWER_BOUND_CONSTANTS.c_final * min(1.0, float(np.linalg.norm(d)))
+    return LOWER_BOUND_CONSTANTS.c_final * min(1.0, _l2_norm(d))
 
 
 def symmetric_l2_upper_bound(p) -> float:
     """min(1, ||2p - 1||_2): upper bound on TV(Ber(p), Ber(1-p))."""
     pa = _params(p)
-    return min(1.0, float(np.linalg.norm(2.0 * pa - 1.0)))
+    return min(1.0, _l2_norm(2.0 * pa - 1.0))
 
 
 def symmetric_affinity_upper_bound(p) -> float:
@@ -92,7 +93,7 @@ def symmetric_affinity_upper_bound(p) -> float:
         return 1.0
     log_ratios = np.log(pa / (1.0 - pa))
     affinity = float(np.prod(2.0 * np.sqrt(pa * (1.0 - pa))))
-    affinity *= math.exp(-0.5 * float(np.linalg.norm(log_ratios)))
+    affinity *= math.exp(-0.5 * _l2_norm(log_ratios))
     return 1.0 - affinity
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProbVector, _positive_int, exact_tv_equal_marginals
+from .core import ProbVector, _check_budget, _l2_norm, _positive_int, exact_tv_equal_marginals
 
 __all__ = [
     "GapInstance",
@@ -68,7 +68,7 @@ class RademacherInstance:
         threshold = float(self.threshold)
         if not math.isfinite(threshold) or threshold <= 0.0:
             raise ValueError(f"threshold must be positive, got {self.threshold!r}")
-        scale = float(np.linalg.norm(arr))
+        scale = _l2_norm(arr)
         object.__setattr__(self, "weights", arr / scale)
         object.__setattr__(self, "threshold", threshold / scale)
 
@@ -112,11 +112,8 @@ def gap_instance(n: int) -> GapInstance:
 
 
 def _gap_exact_tvs(n: int) -> tuple:
-    """Exact TVs of the two gap pairs, (TV(p, q), TV(p', q')).
-
-    Both pairs have constant coordinates, so the windowed binomial path
-    applies and n can be large.
-    """
+    """Exact TVs of the two gap pairs, (TV(p, q), TV(p', q')): both have
+    constant coordinates, so the binomial closed form serves any n."""
     n = _positive_int(n, "n")
     inv = 1.0 / n
     return (exact_tv_equal_marginals(n, inv, 0.0),
@@ -140,16 +137,13 @@ def lowther_check(instance: RademacherInstance) -> tuple:
     """(lhs, rhs, ratio) of the concave sign-sum comparison.
 
     lhs = f(Z) for the deterministic Z = ||a||_2 (= 1 after normalization);
-    rhs = E f(Y) by exhaustive enumeration of all 2**n sign patterns;
-    ratio = lhs / rhs, bounded by LOWTHER_RATIO_BOUND.
+    rhs = E f(Y) over all 2**n sign patterns, which must fit the budget
+    2**MAX_SIGN_ENUM_BITS (``_check_budget``); ratio = lhs / rhs, bounded by
+    LOWTHER_RATIO_BOUND.
     """
-    if instance.n > MAX_SIGN_ENUM_BITS:
-        raise ValueError(
-            f"{instance.n} weights exceed the 2^{MAX_SIGN_ENUM_BITS} "
-            "sign-pattern enumeration cap"
-        )
+    _check_budget([2] * instance.n, MAX_SIGN_ENUM_BITS)
     u = instance.threshold
-    z = float(np.linalg.norm(instance.weights))
+    z = _l2_norm(instance.weights)
     lhs = min(z, u)
     magnitudes = np.abs(_sign_sums(instance.weights))
     rhs = float(np.minimum(magnitudes, u).mean())

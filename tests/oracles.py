@@ -21,7 +21,7 @@ from prodtv.bounds import (
     symmetric_l2_upper_bound,
     trivial_bracket,
 )
-from prodtv.core import _MC_BATCH, _bernstein_window, _half
+from prodtv.core import _MC_BATCH, _WINDOW_NATS, _bernstein_window, _half
 
 
 def tv_bernoulli_brute(p, q):
@@ -126,36 +126,86 @@ def channel_matrix_reference(p, q):
     return np.array([top, bottom])
 
 
-def binomial_pmf_reference(n, prob):
-    """Binomial(n, prob) masses at every k in 0..n, taken in log space."""
-    k = np.arange(n + 1, dtype=np.float64)
+def binomial_pmf_reference(n, prob, lo=0, hi=None):
+    """Binomial(n, prob) masses at every k in lo..hi (default 0..n), taken in
+    log space with per-count gammaln, xlogy and xlog1py calls."""
+    k = np.arange(lo, n + 1 if hi is None else hi + 1, dtype=np.float64)
     log_coeff = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     with np.errstate(divide="ignore"):
         log_pmf = log_coeff + xlogy(k, prob) + xlog1py(n - k, -prob)
     return np.exp(log_pmf)
 
 
-def equal_marginals_reference(n, p, q):
-    """Exact TV of constant-parameter Bernoulli products over all n + 1 counts."""
-    diff = np.abs(binomial_pmf_reference(n, float(p)) - binomial_pmf_reference(n, float(q)))
-    return min(1.0, 0.5 * float(diff.sum()))
+def _binomial_tail(n, prob, k, mp):
+    """P(K >= k) for K ~ Binomial(n, prob), prob an mpf in (0, 1), in mpmath.
+
+    The sum runs from k away from the mean, where the terms fall, until they
+    no longer change the working precision; the other tail is 1 minus it.
+    """
+    upper = k > n * prob
+    j = k if upper else k - 1
+    ratio = prob / (1 - prob)
+    term = mp.exp(mp.loggamma(n + 1) - mp.loggamma(j + 1) - mp.loggamma(n - j + 1)
+                  + j * mp.log(prob) + (n - j) * mp.log1p(-prob))
+    total = mp.mpf(0)
+    while 0 <= j <= n:
+        total += term
+        previous = term
+        if upper:
+            term *= ratio * (n - j) / (j + 1)
+            j += 1
+        else:
+            term *= j / (ratio * (n - j + 1))
+            j -= 1
+        if term < previous and term < total * mp.eps:
+            break
+    return total if upper else 1 - total
 
 
-def equal_marginals_per_side_reference(n, p, q):
-    """Exact TV of constant-parameter Bernoulli products on the Bernstein window,
-    with the log binomial coefficients computed once for each side."""
-    p, q = float(p), float(q)
+def equal_marginals_mpmath(n, p, q, dps=50):
+    """TV of Binomial(n, p) and Binomial(n, q) at the floats p and q, in
+    mpmath: the tails of each at the first count k* where P outweighs Q.
+
+    For p > q the likelihood ratio grows with k, so TV = P(K >= k*) -
+    Q(K >= k*), and the pair is symmetric in p and q.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        p, q = max(float(p), float(q)), min(float(p), float(q))
+        if p == q:
+            return mpmath.mpf(0)
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        if q == 0:
+            first = 1
+        elif p == 1:
+            first = n
+        else:
+            up, down = mpmath.log(p / q), mpmath.log((1 - q) / (1 - p))
+            first = int(mpmath.floor(n * down / (up + down))) + 1
+
+        def tail(prob):
+            if prob in (0, 1):  # K is 0 or n, and 1 <= k* <= n
+                return prob
+            return _binomial_tail(n, prob, first, mpmath)
+
+        return +(tail(p) - tail(q))
+
+
+def equal_marginals_error_bound(n, p, q):
+    """The documented bound on |exact_tv_equal_marginals(n, p, q) - TV|: the
+    kernel's one-coordinate term, the truncation and the mass rounding."""
     lo, hi = _bernstein_window(n, p, q)
-    k = np.arange(lo, hi + 1, dtype=np.float64)
-    pmfs = []
-    for prob in (p, q):
-        log_coeff = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-        with np.errstate(divide="ignore"):
-            log_pmf = log_coeff + xlogy(k, prob) + xlog1py(n - k, -prob)
-        pmfs.append(np.exp(log_pmf))
-    diff = np.zeros(n + 1)
-    diff[lo:hi + 1] = np.abs(pmfs[0] - pmfs[1])
-    return min(1.0, 0.5 * float(diff.sum()))
+    log2_w = math.log2(hi - lo + 1)
+
+    def size(s):  # T_s, an infinite log counting 0
+        return math.lgamma(n + 1) + n * (abs(math.log(s)) if s > 0.0 else 0.0) \
+            + n * (abs(math.log1p(-s)) if s < 1.0 else 0.0)
+
+    kernel = (48 + 8 * log2_w) * 2.0 ** -53
+    truncation = 6.0 * math.exp(-_WINDOW_NATS)
+    rounding = (32 * (size(p) + size(q)) + 2 * log2_w + 40) * 2.0 ** -53
+    return kernel + truncation + rounding
 
 
 def scan_reference(values):

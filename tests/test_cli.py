@@ -13,6 +13,8 @@ import prodtv
 from prodtv import cli, exact_tv_bernoulli
 from prodtv.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_PARSE, main
 
+from oracles import equal_marginals_error_bound, equal_marginals_mpmath
+
 
 def write_instance(tmp_path, doc, name="instance.json"):
     path = tmp_path / name
@@ -24,6 +26,13 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_env(**overrides):
+    """os.environ for a fresh interpreter that imports this prodtv."""
+    src = str(Path(prodtv.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **overrides)
 
 
 class TestBoundsCommand:
@@ -402,6 +411,12 @@ class TestLowtherCommand:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == "error: --weights must contain at least one value\n"
 
+    def test_over_the_cap_is_budget_error(self, capsys):
+        code, out, err = run(capsys, ["lowther", "--weights", ",".join(["1"] * 21),
+                                      "--threshold", "1"])
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == "error: joint support exceeds the 2^20 enumeration budget (n = 21)\n"
+
 
 # Fixed instances whose CLI output is pinned byte for byte below.
 # BERNOULLI_EDGES has parameters of 0 and 1 and an identical (0, 0)
@@ -618,10 +633,10 @@ SYMMETRIZE_CHANNEL_CASES = """\
 
 SWEEP_RANGE = """\
 n,tv_pq,tv_pq_prime_exact,tv_pq_prime_upper,gap_ratio_exact,ratio_lower,gap_ratio_over_sqrt_n
-1000,0.6323045752290363,0.02522082304378368,0.03162277660168379,25.070735167187248,19.99522632669038,0.79280625743194
-31000,0.6321264924476032,0.004531618879418886,0.005679618342470648,139.4924218641814,111.29735385927826,0.7922637178554583
-61000,0.6321235742542065,0.0032305180912866856,0.00404888165089458,195.6725071266227,156.123005994641,0.7922548236895215
-91000,0.6321225801550577,0.0026449494529200016,0.0033149677206589794,238.9923102146253,190.6874013329453,0.7922517938472
+1000,0.6323045752290363,0.02522082304376999,0.03162277660168379,25.070735167199196,19.99522632669038,0.7928062574323178
+31000,0.6321264924476032,0.004531618879065502,0.005679618342470648,139.49242187459836,111.29735385927826,0.7922637179146227
+61000,0.6321235742542065,0.0032305180916069043,0.00404888165089458,195.67250710840761,156.123005994641,0.7922548236157708
+91000,0.6321225801550577,0.002644949453397216,0.0033149677206589794,238.99231017142154,190.6874013329453,0.792251793703981
 """
 
 
@@ -647,6 +662,46 @@ class TestPinnedOutput:
         assert code == 0
         assert err == ""
         assert out == SWEEP_RANGE
+
+    def test_sweep_values_within_bound_of_mpmath(self):
+        """The pinned exact TVs lie within the closed form's error bound of
+        mpmath, and the two ratios within the interval those bounds allow."""
+        import mpmath
+
+        header, *lines = SWEEP_RANGE.splitlines()
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            n = int(row["n"])
+            pairs = [(1.0 / n, 0.0), (0.5 + 0.5 / n, 0.5 - 0.5 / n)]
+            (tv_pq, tv_prime), (e_pq, e_prime) = zip(*[
+                (equal_marginals_mpmath(n, *pair), equal_marginals_error_bound(n, *pair))
+                for pair in pairs])
+            assert abs(float(row["tv_pq_prime_exact"]) - tv_prime) <= e_prime, n
+            low = (tv_pq - e_pq) / (tv_prime + e_prime)
+            high = (tv_pq + e_pq) / (tv_prime - e_prime)
+            # Each float operation after the two TVs adds a relative 2**-53.
+            for name, scale, ops in (("gap_ratio_exact", 1, 1),
+                                     ("gap_ratio_over_sqrt_n", mpmath.sqrt(n), 3)):
+                value = float(row[name]) * scale
+                assert low * (1 - ops * 2.0 ** -52) <= value <= high * (1 + ops * 2.0 ** -52), \
+                    (n, name)
+
+
+class TestBlasThreadCount:
+    def test_bounds_bytes_do_not_depend_on_it(self, tmp_path):
+        """Every l2 norm is a fixed-order numpy sum, so a large instance prints
+        the same bytes with one BLAS thread and with two."""
+        rng = np.random.default_rng(5)
+        path = write_instance(tmp_path, {"p": rng.random(100_000).tolist(),
+                                         "q": rng.random(100_000).tolist()})
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "prodtv.cli", "bounds", path],
+                                  capture_output=True, timeout=300,
+                                  env=fresh_env(OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestExactBracketCheck:
@@ -766,11 +821,8 @@ print(json.dumps(steps))
 
 def scipy_steps(calls):
     """[step, scipy modules loaded after it] pairs from one fresh interpreter."""
-    src = str(Path(prodtv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

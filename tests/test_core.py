@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import prodtv as tv
 from oracles import (
     binomial_pmf_reference,
-    equal_marginals_per_side_reference,
-    equal_marginals_reference,
+    equal_marginals_error_bound,
+    equal_marginals_mpmath,
     exact_kernel_reference,
     mc_estimate_reference,
     mc_product_reference,
@@ -360,8 +360,17 @@ class TestEqualMarginals:
             tv.exact_tv_equal_marginals(3, 1.5, 0.5)
 
 
+def kernel_on_reference_rows(n, p, q):
+    """The exact kernel on per-count reference masses over the window, each
+    row divided by its total: the closed form's definition, built apart."""
+    lo, hi = tv.core._bernstein_window(n, p, q)
+    rows = [binomial_pmf_reference(n, prob, lo, hi) for prob in (p, q)]
+    return tv.core._exact_tv(*([row / row.sum()] for row in rows))
+
+
 class TestEqualMarginalsWindow:
-    """The Bernstein-window evaluation equals the full-range sum bit for bit."""
+    """The windowed rows hold the full-range masses bit for bit, drop at most
+    2 exp(-L) per side, and the closed form is the kernel on them."""
 
     SIZES = (1, 2, 3, 7, 50, 999, 1000, 4096, 31000, 91000, 250000)
 
@@ -377,34 +386,47 @@ class TestEqualMarginalsWindow:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_bit_identical_to_full_range(self, n):
-        rng = np.random.default_rng(130 + n)
-        for p, q in self.pairs(n, rng):
-            assert (tv.exact_tv_equal_marginals(n, p, q).hex()
-                    == equal_marginals_reference(n, p, q).hex()), (n, p, q)
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_no_nonzero_mass_outside_window(self, n):
+        """Each mass on the window equals the full-range reference's, bit for bit."""
         rng = np.random.default_rng(130 + n)
         for p, q in self.pairs(n, rng):
             lo, hi = tv.core._bernstein_window(n, p, q)
+            for row, prob in zip(tv.core._binomial_rows(n, p, q), (p, q)):
+                expected = binomial_pmf_reference(n, prob)[lo:hi + 1]
+                assert row.tobytes() == expected.tobytes(), (n, p, q, prob)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_no_nonzero_mass_outside_window(self, n):
+        """The rows hold no count outside the window, and the reference mass
+        there, which the rows drop, is at most 2 exp(-L) per side."""
+        rng = np.random.default_rng(130 + n)
+        dropped_bound = 2.0 * math.exp(-tv.core._WINDOW_NATS)
+        for p, q in self.pairs(n, rng):
+            lo, hi = tv.core._bernstein_window(n, p, q)
             assert 0 <= lo <= hi <= n
+            assert [row.size for row in tv.core._binomial_rows(n, p, q)] == [hi - lo + 1] * 2
             for prob in (p, q):
                 pmf = binomial_pmf_reference(n, prob)
-                assert not pmf[:lo].any() and not pmf[hi + 1:].any(), (n, p, q, prob)
+                dropped = math.fsum(pmf[:lo]) + math.fsum(pmf[hi + 1:])
+                assert dropped <= dropped_bound, (n, p, q, prob, dropped)
 
     def test_window_is_narrow_at_large_n(self):
         n = 91000
         lo, hi = tv.core._bernstein_window(n, 1.0 / n, 0.0)
-        assert hi - lo < 600
+        assert hi - lo < 40
         lo, hi = tv.core._bernstein_window(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n)
-        assert hi - lo < 13000
+        assert hi - lo < 2800
 
     @pytest.mark.parametrize("n", SIZES)
     def test_gap_ratio_bit_identical(self, n):
+        """gap_ratio_exact and each closed-form value are the kernel on the
+        normalized reference rows, bit for bit."""
         inv = 1.0 / n
-        expected = (equal_marginals_reference(n, inv, 0.0)
-                    / equal_marginals_reference(n, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv))
+        expected = (kernel_on_reference_rows(n, inv, 0.0)
+                    / kernel_on_reference_rows(n, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv))
         assert tv.gap_ratio_exact(n).hex() == expected.hex()
+        for p, q in self.pairs(n, np.random.default_rng(130 + n)):
+            assert (tv.exact_tv_equal_marginals(n, p, q).hex()
+                    == kernel_on_reference_rows(n, p, q).hex()), (n, p, q)
 
     @staticmethod
     def touching_q(n, hi):
@@ -456,20 +478,80 @@ class TestEqualMarginalsWindow:
             "disjoint", "disjoint", "disjoint", "overlap", "adjacent", "disjoint"]
         for n, p, q in cases:
             arm = self.arm(n, p, q)
+            lo, hi = tv.core._bernstein_window(n, p, q)
             calls.clear()
-            value = tv.exact_tv_equal_marginals(n, p, q)
+            rows = tv.core._binomial_rows(n, p, q)
             # One table where the ranges meet, two passes where they do not,
             # besides the scalar gammaln(n + 1).
             assert calls.count(1) == (2 if arm == "disjoint" else 1), (n, p, q, arm)
-            assert value.hex() == equal_marginals_reference(n, p, q).hex(), (n, p, q)
+            for row, prob in zip(rows, (p, q)):
+                expected = binomial_pmf_reference(n, prob, lo, hi)
+                assert row.tobytes() == expected.tobytes(), (n, p, q, prob)
 
     def test_shared_coefficient_bit_identical(self):
+        """Both sides read one set of log binomial coefficients, and each
+        side's masses equal a per-side, per-count computation bit for bit."""
         rng = np.random.default_rng(319)
         for _ in range(300):
             n = int(rng.integers(1, 100_001))
             p, q = rng.random(2).tolist()
-            assert (tv.exact_tv_equal_marginals(n, p, q).hex()
-                    == equal_marginals_per_side_reference(n, p, q).hex()), (n, p, q)
+            lo, hi = tv.core._bernstein_window(n, p, q)
+            for row, prob in zip(tv.core._binomial_rows(n, p, q), (p, q)):
+                expected = binomial_pmf_reference(n, prob, lo, hi)
+                assert row.tobytes() == expected.tobytes(), (n, p, q, prob)
+
+
+class TestEqualMarginalsErrorBound:
+    """The closed form lies within its documented error bound of independent
+    oracles: mpmath up to n = 10**7 and exact rationals for n <= 12."""
+
+    # Pairs whose window is the hull of two far-apart reaches cost O(n), so
+    # they stop at n = 10**6.
+    WIDE = [(0.3, 0.9), (0.0, 1.0), (1.0, 0.0), (0.3, 0.3), (5e-324, 0.0), (1e-12, 0.5),
+            (1.0 - 1e-12, 1.0), (5e-324, 1.0 - 1e-12)]
+
+    @staticmethod
+    def narrow(n):
+        inv = 1.0 / n
+        return [(0.5 + 0.5 * inv, 0.5 - 0.5 * inv), (inv, 0.0), (0.01, 0.0101)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 50, 999, 4096, 31000, 91000, 10 ** 5,
+                                   10 ** 6, 10 ** 7])
+    def test_within_bound_of_mpmath(self, n):
+        pairs = self.narrow(n) + (self.WIDE if n <= 10 ** 6 else [])
+        for p, q in pairs:
+            value = tv.exact_tv_equal_marginals(n, p, q)
+            exact = equal_marginals_mpmath(n, p, q)
+            error = abs(value - exact)
+            assert error <= equal_marginals_error_bound(n, p, q), (n, p, q, float(error))
+            if (p, q) == pairs[0] and n >= 31000:
+                # Far inside the bound; without the row normalization the gap
+                # pair's error was 3.6e-8 of TV at n = 10**6 and 1.1e-6 at 10**7.
+                assert error <= 1e-9 * exact, (n, float(error / exact))
+
+    def test_within_bound_of_fraction_oracle(self):
+        for n in (1, 2, 3, 5, 8, 12):
+            for p, q in self.narrow(n) + self.WIDE + [(0.25, 0.5), (0.7, 0.1)]:
+                if n > 3 and p == 5e-324:  # rationals of 2**-1074 grow slow; mpmath covers it
+                    continue
+                exact = tv_fraction_bernoulli([p] * n, [q] * n)
+                value = tv.exact_tv_equal_marginals(n, p, q)
+                assert abs(Fraction(value) - exact) <= equal_marginals_error_bound(n, p, q), \
+                    (n, p, q)
+
+    def test_memory_stays_small_at_n_1e8(self):
+        import tracemalloc
+
+        n = 10 ** 8
+        tv.exact_tv_equal_marginals(10, 0.5, 0.25)  # load scipy before tracing
+        tracemalloc.start()
+        try:
+            tv.exact_tv_equal_marginals(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n)
+            tv.exact_tv_equal_marginals(n, 1.0 / n, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, peak
 
 
 class TestScanTotal:

@@ -136,8 +136,10 @@ class TestLowtherCheck:
 
     def test_enumeration_cap(self):
         inst = tv.RademacherInstance([1.0] * 21, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(tv.EnumerationBudgetError,
+                           match=r"2\^20 enumeration budget \(n = 21\)"):
             tv.lowther_check(inst)
+        assert tv.lowther_check(tv.RademacherInstance([1.0] * 20, 1.0))[2] > 0.0
 
     def test_bound_constant_value(self):
         assert tv.LOWTHER_RATIO_BOUND == pytest.approx(2.1876726, abs=1e-6)

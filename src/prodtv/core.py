@@ -433,7 +433,8 @@ def _bernstein_window(n: int, p: float, q: float) -> tuple:
     each have a mass of at most 2 exp(-L), L = _WINDOW_NATS: by Bernstein's
     inequality, P(K >= n prob + t) and P(K <= n prob - t) are each at most
     exp(-L) for t = L/3 + sqrt(L**2/9 + 2 L n prob (1 - prob)). The window is
-    the hull of both sides' reaches, cut to [0, n]."""
+    the hull of both sides' reaches, cut to [0, n]; with p == q it is one
+    side's reach."""
     ends = []
     for prob in (p, q):
         reach = _WINDOW_NATS / 3.0 + math.sqrt(
@@ -442,46 +443,30 @@ def _bernstein_window(n: int, p: float, q: float) -> tuple:
     return max(0, math.floor(min(ends))), min(n, math.ceil(max(ends)))
 
 
-def _times_log(counts: np.ndarray, log_prob: float) -> np.ndarray:
-    """counts * log_prob with xlogy's convention 0 * log 0 = 0.
-
-    This is ``xlogy(counts, prob)`` for log_prob = ``xlogy(1, prob)``, except
-    that a zero count times a finite log_prob may give -0.0. That can change
-    only the sign of a zero sum, and exp maps both zeros to 1.0."""
-    with np.errstate(invalid="ignore"):
-        out = counts * log_prob
-    if math.isinf(log_prob):
-        out[counts == 0.0] = 0.0
-    return out
-
-
 def _binomial_rows(n: int, p: float, q: float) -> tuple:
     """Binomial(n, p) and Binomial(n, q) masses on their Bernstein window, not
-    normalized, each equal bit for bit to per-count ``gammaln``, ``xlogy(k, p)``
-    and ``xlog1py(n - k, -p)`` in log space. The log binomial coefficients
-    serve both sides; each log factor is one scalar, ``xlogy(1, p)`` or
-    ``xlog1py(1, -p)``, times the counts. Where the counts [lo, hi] and
-    [n - hi, n - lo] overlap or touch, one gammaln table over their hull gives
-    both log factorials; otherwise each takes a pass."""
-    # Imported here so that importing prodtv or its CLI does not load scipy.
-    from scipy.special import gammaln, xlog1py, xlogy
-
+    normalized. Each row is 1.0 at its side's mode m = floor((n + 1) s), cut
+    to the window, and filled outward by cumulative products of the exact
+    mass ratios: (n - k)/(k + 1) times the odds s/(1 - s) upward, k/(n - k + 1)
+    times (1 - s)/s downward. The count ratios serve both sides. Outward from
+    the mode every ratio is at most 1, so nothing overflows and the tails
+    underflow to exact zeros. At s = 0 or 1 the odds are 0 or inf and meet
+    only an empty run, the mode being at that end of the window; a run below
+    the mode needs m >= 1, so s >= 1/(n + 1) and dividing by the odds stays
+    finite."""
     lo, hi = _bernstein_window(n, p, q)
     k = np.arange(lo, hi + 1, dtype=np.float64)
-    rest = n - k
-    # The counts n - k run over [n - hi, n - lo]; when the hull of that range
-    # and [lo, hi] is no longer than the two together, they overlap or touch.
-    start, stop = min(lo, n - hi), max(hi, n - lo)
-    if stop - start <= 2 * (hi - lo) + 1:
-        table = gammaln(np.arange(start, stop + 1, dtype=np.float64) + 1.0)
-        log_k_fact = table[lo - start:hi - start + 1]
-        log_rest_fact = table[n - hi - start:n - lo - start + 1][::-1]
-    else:
-        log_k_fact, log_rest_fact = gammaln(k + 1), gammaln(rest + 1)
-    log_coeff = gammaln(n + 1) - log_k_fact - log_rest_fact
-    with np.errstate(divide="ignore"):
-        return tuple(np.exp(log_coeff + _times_log(k, xlogy(1.0, prob))
-                            + _times_log(rest, xlog1py(1.0, -prob))) for prob in (p, q))
+    up, down = (n - k[:-1]) / (k[:-1] + 1.0), k[1:] / (n - k[1:] + 1.0)
+    rows = []
+    for prob in (p, q):
+        mode = min(max(math.floor((n + 1) * prob), lo), hi) - lo
+        odds = prob / (1.0 - prob) if prob < 1.0 else math.inf
+        row = np.empty(k.size)
+        row[mode] = 1.0
+        np.cumprod(up[mode:] * odds, out=row[mode + 1:])
+        np.cumprod(down[:mode][::-1] / odds, out=row[:mode][::-1])
+        rows.append(row)
+    return tuple(rows)
 
 
 def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
@@ -489,32 +474,40 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
 
     Outcome probabilities depend only on the number of ones, so this is the
     exact kernel (``_exact_tv``) on one coordinate: the ``_binomial_rows``
-    masses, each row divided by its computed total. Each scalar log factor is
-    rounded once and multiplied by counts up to n, so all masses of a side
-    share a rounding; the division cancels it, where the kernel's P(S) - Q(S),
-    S = {P > Q}, would carry it into the value.
+    masses, each row divided by its computed total. When the two sides'
+    reaches (``_bernstein_window`` of p alone and of q alone) are disjoint,
+    P holds at least 1 - 2 exp(-L) of its mass where Q holds at most 2 exp(-L),
+    so TV >= 1 - 4 exp(-L) and 1.0 is returned without building rows.
 
-    With W counts in the window, L = _WINDOW_NATS = 40 and T_s = log n! +
-    n (|log s| + |log1p(-s)|) for s = p, q (an infinite log counts 0: its
-    masses are exact zeros), |value - TV| is at most the sum of
+    With W counts in the window and L = _WINDOW_NATS = 40, |value - TV| is at
+    most the sum of
     - the kernel's bound for one coordinate, (48 + 8 log2 W) 2**-53;
     - the truncation, 6 exp(-L) < 3e-17: each side has at most 2 exp(-L)
       outside the window, and the division moves the rest by as much;
-    - the mass rounding, (32 (T_p + T_q) + 2 log2 W + 40) 2**-53: each term of
-      a log-mass is at most T_s, so with gammaln within 4 ulp and log within
-      1 ulp a log-mass is within 15 T_s 2**-53, and a normalized mass within
-      twice that plus its total's rounding, in relative terms.
-    This worst case is loose: against mpmath the gap pair 1/2 +- 1/(2n) is
-    within 3e-11 of TV, relative, up to n = 10**7. The window holds at most
-    18 sqrt(n p (1 - p)) + 56 counts around n p and as many around n q;
-    nothing of length n is built. On a 2-vCPU machine the gap pair takes
-    0.25 ms at n = 91000 and 9 ms at n = 10**8.
+    - the mass rounding, twice the per-row bound (10 W + log2 W + 30) 2**-53
+      + W 2**-1020, for W <= 10**7. Each step of the recurrence rounds a count
+      ratio, its product with the odds and the running product, and the odds
+      carry two roundings, so a mass d < W counts from its mode is within
+      5 d 2**-53 of its exact ratio to the mode, relatively. The total's
+      pairwise sum adds (log2 W + 25) 2**-53 and the division 2**-53, so each
+      normalized row is within the per-row bound, in l1, of the binomial
+      normalized on the window. A mass that falls below 2**-1022 stays below
+      it, as does its exact value, so the two differ by at most 2**-1021.
+    The worst case is loose: against mpmath the gap pair 1/2 +- 1/(2n) is
+    within 3e-10 of TV, relative, up to n = 10**7, and (1/n, 0) within
+    3e-16. A window holds at most 18 sqrt(n p (1 - p)) + 56 counts around
+    n p and as many around n q, and the counts between them only when the
+    reaches overlap; nothing of length n is built.
     """
     n = _positive_int(n, "n")
     for name, value in (("p", p), ("q", q)):
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"{name} = {value!r} outside [0, 1]")
-    pmf_p, pmf_q = _binomial_rows(n, float(p), float(q))
+    p, q = float(p), float(q)
+    (lo_p, hi_p), (lo_q, hi_q) = _bernstein_window(n, p, p), _bernstein_window(n, q, q)
+    if hi_p < lo_q or hi_q < lo_p:
+        return 1.0
+    pmf_p, pmf_q = _binomial_rows(n, p, q)
     return _exact_tv([pmf_p / pmf_p.sum()], [pmf_q / pmf_q.sum()])
 
 

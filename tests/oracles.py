@@ -136,6 +136,30 @@ def binomial_pmf_reference(n, prob, lo=0, hi=None):
     return np.exp(log_pmf)
 
 
+def binomial_row_loop(n, prob):
+    """Binomial(n, prob) masses at every k in 0..n relative to the mode, by a
+    plain loop: 1.0 at m = floor((n + 1) prob) cut to [0, n], then each count
+    outward is the last times (n - k)/(k + 1) * odds upward or
+    k/(n - k + 1) / odds downward, odds = prob / (1 - prob). These are the
+    float operations of _binomial_rows, one at a time; a mass of 0.0 stays 0.0."""
+    odds = math.inf if prob == 1.0 else prob / (1.0 - prob)
+    mode = min(max(math.floor((n + 1) * prob), 0), n)
+    row = np.zeros(n + 1)
+    row[mode] = mass = 1.0
+    for k in range(mode, n):
+        mass *= (n - k) / (k + 1.0) * odds
+        if mass == 0.0:
+            break
+        row[k + 1] = mass
+    mass = 1.0
+    for k in range(mode, 0, -1):
+        mass *= k / (n - k + 1.0) / odds
+        if mass == 0.0:
+            break
+        row[k - 1] = mass
+    return row
+
+
 def _binomial_tail(n, prob, k, mp):
     """P(K >= k) for K ~ Binomial(n, prob), prob an mpf in (0, 1), in mpmath.
 
@@ -192,20 +216,55 @@ def equal_marginals_mpmath(n, p, q, dps=50):
         return +(tail(p) - tail(q))
 
 
+def binomial_row_bound(width):
+    """The documented per-row bound of exact_tv_equal_marginals: the l1
+    distance of a normalized _binomial_rows row of ``width`` masses from the
+    binomial normalized on the window."""
+    return (10 * width + math.log2(width) + 30) * 2.0 ** -53 + width * 2.0 ** -1020
+
+
 def equal_marginals_error_bound(n, p, q):
     """The documented bound on |exact_tv_equal_marginals(n, p, q) - TV|: the
     kernel's one-coordinate term, the truncation and the mass rounding."""
     lo, hi = _bernstein_window(n, p, q)
-    log2_w = math.log2(hi - lo + 1)
-
-    def size(s):  # T_s, an infinite log counting 0
-        return math.lgamma(n + 1) + n * (abs(math.log(s)) if s > 0.0 else 0.0) \
-            + n * (abs(math.log1p(-s)) if s < 1.0 else 0.0)
-
-    kernel = (48 + 8 * log2_w) * 2.0 ** -53
+    width = hi - lo + 1
+    kernel = (48 + 8 * math.log2(width)) * 2.0 ** -53
     truncation = 6.0 * math.exp(-_WINDOW_NATS)
-    rounding = (32 * (size(p) + size(q)) + 2 * log2_w + 40) * 2.0 ** -53
-    return kernel + truncation + rounding
+    return kernel + truncation + 2 * binomial_row_bound(width)
+
+
+def binomial_row_l1_mpmath(n, prob, lo, row, dps=30):
+    """The l1 distance, in mpmath, of ``row``, masses at the counts lo,
+    lo + 1, ..., from the Binomial(n, prob) pmf at the float prob.
+
+    The pmf is taken on prob's own Bernstein reach (``_bernstein_window(n,
+    prob, prob)``): log-gamma values give its first count, and each next one
+    is the last times the exact ratio (n - k) prob / ((k + 1) (1 - prob)), at
+    ``dps`` digits and with no underflow. Outside the reach, where the pmf
+    sums to at most 2 exp(-L), each mass is compared with 0, so the result
+    exceeds the row's true l1 distance by at most 2 exp(-L).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        reach_lo, reach_hi = _bernstein_window(n, prob, prob)
+        s = mpmath.mpf(prob)
+        pmf = {}
+        if s in (0, 1):
+            pmf[n * int(s)] = mpmath.mpf(1)
+        else:
+            k = reach_lo
+            term = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                              - mpmath.loggamma(n - k + 1) + k * mpmath.log(s)
+                              + (n - k) * mpmath.log1p(-s))
+            odds = s / (1 - s)
+            for k in range(reach_lo, reach_hi + 1):
+                pmf[k] = term
+                term *= odds * (n - k) / (k + 1)
+        inside = slice(max(reach_lo - lo, 0), max(reach_hi + 1 - lo, 0))
+        outside = math.fsum(row[:inside.start]) + math.fsum(row[inside.stop:])
+        return outside + mpmath.fsum(abs(mass - pmf.get(k, 0)) for k, mass in
+                                     enumerate(row[inside].tolist(), start=lo + inside.start))
 
 
 def scan_reference(values):

@@ -633,10 +633,10 @@ SYMMETRIZE_CHANNEL_CASES = """\
 
 SWEEP_RANGE = """\
 n,tv_pq,tv_pq_prime_exact,tv_pq_prime_upper,gap_ratio_exact,ratio_lower,gap_ratio_over_sqrt_n
-1000,0.6323045752290363,0.02522082304376999,0.03162277660168379,25.070735167199196,19.99522632669038,0.7928062574323178
-31000,0.6321264924476032,0.004531618879065502,0.005679618342470648,139.49242187459836,111.29735385927826,0.7922637179146227
-61000,0.6321235742542065,0.0032305180916069043,0.00404888165089458,195.67250710840761,156.123005994641,0.7922548236157708
-91000,0.6321225801550577,0.002644949453397216,0.0033149677206589794,238.99231017142154,190.6874013329453,0.792251793703981
+1000,0.6323045752290363,0.025220823043774487,0.03162277660168379,25.070735167190122,19.99522632669038,0.7928062574320308
+31000,0.6321264924476032,0.004531618879070887,0.005679618342470648,139.4924218731494,111.29735385927826,0.7922637179063932
+61000,0.6321235742542065,0.003230518091609791,0.00404888165089458,195.67250711151988,156.123005994641,0.7922548236283721
+91000,0.6321225801550577,0.002644949453394496,0.0033149677206589794,238.99231017143458,190.6874013329453,0.7922517937040242
 """
 
 
@@ -796,8 +796,9 @@ class TestParserReuse:
         assert code == 0 and json.loads(out)["tv"] > 0.0
 
 
-# Runs CLI commands in one fresh interpreter and prints, after each step, the
-# scipy modules loaded so far.
+# Runs CLI commands and library calls (a string step, evaluated with prodtv in
+# scope) in one fresh interpreter and prints, after each step, the scipy
+# modules loaded so far.
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 
@@ -810,6 +811,10 @@ steps.append(("import prodtv", loaded()))
 import prodtv.cli
 steps.append(("import prodtv.cli", loaded()))
 for argv, stdin in json.loads(sys.argv[1]):
+    if isinstance(argv, str):
+        eval(argv, {"prodtv": prodtv})
+        steps.append((argv, loaded()))
+        continue
     sys.stdin = io.StringIO(stdin)
     with contextlib.redirect_stdout(io.StringIO()):
         code = prodtv.cli.main(argv)
@@ -829,7 +834,7 @@ def scipy_steps(calls):
 
 class TestScipyLoadedOnDemand:
     """Importing prodtv and running the commands that need no scipy.special
-    function leaves scipy unloaded; bounds and sweep load it when they run."""
+    function leaves scipy unloaded; bounds loads it when it runs."""
 
     BERN = json.dumps({"p": [0.5, 0.3, 0.9], "q": [0.1, 0.3, 0.95]})
     GENERAL = json.dumps(GENERAL_MIXED)
@@ -840,12 +845,15 @@ class TestScipyLoadedOnDemand:
             (["exact", "-"], self.GENERAL),
             (["mc", "-", "--samples", "2000"], self.BERN),
             (["gap", "--n-range", "1:5"], ""),
+            (["sweep", "--n", "4"], ""),
+            ("prodtv.exact_tv_equal_marginals(10 ** 6, 0.3, 0.31)", ""),
+            ("prodtv.gap_ratio_exact(10 ** 6)", ""),
             (["reduce", "-"], self.BERN),
             (["reduce", "-"], self.GENERAL),
             (["symmetrize", "-"], self.BERN),
             (["lowther", "--weights", "1,2,3", "--threshold", "0.8"], ""),
         ])
-        assert len(steps) == 10
+        assert len(steps) == 13
         assert all(not modules for _, modules in steps), steps
 
     @pytest.mark.parametrize("argv, stdin", [
@@ -853,6 +861,8 @@ class TestScipyLoadedOnDemand:
         (["sweep", "--n", "4"], ""),
     ])
     def test_bounds_and_sweep_load_it(self, argv, stdin):
+        """Run alone in a fresh interpreter, bounds loads scipy.special (for
+        kl_bracket) and sweep, whose closed form uses no scipy, leaves it out."""
         (_, at_import), (_, after_import), (_, after_run) = scipy_steps([(argv, stdin)])
         assert not at_import and not after_import
-        assert "scipy.special" in after_run
+        assert ("scipy.special" in after_run) == (argv[0] == "bounds"), after_run

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 import prodtv as tv
 from oracles import (
     binomial_pmf_reference,
+    binomial_row_bound,
+    binomial_row_l1_mpmath,
+    binomial_row_loop,
     equal_marginals_error_bound,
     equal_marginals_mpmath,
     exact_kernel_reference,
@@ -360,17 +363,22 @@ class TestEqualMarginals:
             tv.exact_tv_equal_marginals(3, 1.5, 0.5)
 
 
-def kernel_on_reference_rows(n, p, q):
-    """The exact kernel on per-count reference masses over the window, each
-    row divided by its total: the closed form's definition, built apart."""
-    lo, hi = tv.core._bernstein_window(n, p, q)
-    rows = [binomial_pmf_reference(n, prob, lo, hi) for prob in (p, q)]
+def kernel_on_rows(n, p, q):
+    """The exact kernel on the _binomial_rows, each divided by its total."""
+    rows = tv.core._binomial_rows(n, p, q)
     return tv.core._exact_tv(*([row / row.sum()] for row in rows))
 
 
+def reaches_overlap(n, p, q):
+    """Whether the Bernstein reaches of p alone and of q alone meet."""
+    (lo_p, hi_p), (lo_q, hi_q) = (tv.core._bernstein_window(n, s, s) for s in (p, q))
+    return lo_p <= hi_q and lo_q <= hi_p
+
+
 class TestEqualMarginalsWindow:
-    """The windowed rows hold the full-range masses bit for bit, drop at most
-    2 exp(-L) per side, and the closed form is the kernel on them."""
+    """The windowed rows hold the full-range masses bit for bit, lie within
+    the documented bound of mpmath, drop at most 2 exp(-L) per side, and the
+    closed form is the kernel on them."""
 
     SIZES = (1, 2, 3, 7, 50, 999, 1000, 4096, 31000, 91000, 250000)
 
@@ -380,19 +388,37 @@ class TestEqualMarginalsWindow:
         fixed = [(inv, 0.0), (0.5 + 0.5 * inv, 0.5 - 0.5 * inv), (0.0, 1.0), (1.0, 0.0),
                  (0.3, 0.3), (5e-324, 0.0), (1e-12, 0.5), (1.0 - 1e-12, 1.0),
                  (5e-324, 1.0 - 1e-12)]
+        # Odds of 0 or inf, and the smallest and largest odds between them.
+        infinite = [(0.0, 0.3), (1.0, 0.3), (0.3, 0.0), (0.3, 1.0), (0.0, 0.0), (1.0, 1.0),
+                    (0.0, 5e-324), (1.0, 1.0 - 1e-16)]
         drawn = [tuple(rng.random(2).tolist()) for _ in range(3)]
         near = [(x, x + 1e-3 * float(rng.random())) for x in rng.random(2).tolist()]
-        return fixed + drawn + near
+        return fixed + infinite + drawn + near
 
     @pytest.mark.parametrize("n", SIZES)
     def test_bit_identical_to_full_range(self, n):
-        """Each mass on the window equals the full-range reference's, bit for bit."""
+        """Each mass on the window equals, bit for bit, a plain loop's over
+        all counts 0..n: cutting to the window changes no mass."""
         rng = np.random.default_rng(130 + n)
         for p, q in self.pairs(n, rng):
             lo, hi = tv.core._bernstein_window(n, p, q)
             for row, prob in zip(tv.core._binomial_rows(n, p, q), (p, q)):
-                expected = binomial_pmf_reference(n, prob)[lo:hi + 1]
+                expected = binomial_row_loop(n, prob)[lo:hi + 1]
                 assert row.tobytes() == expected.tobytes(), (n, p, q, prob)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rows_within_bound_of_mpmath(self, n):
+        """Each normalized row lies within the documented per-row bound of the
+        mpmath pmf in l1, up to 4 exp(-L): the window's normalization and the
+        pmf outside the side's own reach, which the oracle compares with 0."""
+        rng = np.random.default_rng(130 + n)
+        slack = 4.0 * math.exp(-tv.core._WINDOW_NATS)
+        for p, q in self.pairs(n, rng):
+            lo, _ = tv.core._bernstein_window(n, p, q)
+            for row, prob in zip(tv.core._binomial_rows(n, p, q), (p, q)):
+                error = binomial_row_l1_mpmath(n, prob, lo, row / row.sum())
+                assert error <= binomial_row_bound(row.size) + slack, \
+                    (n, p, q, prob, float(error))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_no_nonzero_mass_outside_window(self, n):
@@ -419,94 +445,25 @@ class TestEqualMarginalsWindow:
     @pytest.mark.parametrize("n", SIZES)
     def test_gap_ratio_bit_identical(self, n):
         """gap_ratio_exact and each closed-form value are the kernel on the
-        normalized reference rows, bit for bit."""
+        normalized rows, bit for bit, where the two reaches overlap; where they
+        are disjoint the value is 1.0, within the bound of the kernel's."""
         inv = 1.0 / n
-        expected = (kernel_on_reference_rows(n, inv, 0.0)
-                    / kernel_on_reference_rows(n, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv))
+        expected = kernel_on_rows(n, inv, 0.0) / kernel_on_rows(n, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv)
         assert tv.gap_ratio_exact(n).hex() == expected.hex()
         for p, q in self.pairs(n, np.random.default_rng(130 + n)):
-            assert (tv.exact_tv_equal_marginals(n, p, q).hex()
-                    == kernel_on_reference_rows(n, p, q).hex()), (n, p, q)
-
-    @staticmethod
-    def touching_q(n, hi):
-        """A q at which the window of (0, q) ends at count hi."""
-        below, above = 0.0, 0.5
-        for _ in range(60):
-            mid = 0.5 * (below + above)
-            if tv.core._bernstein_window(n, 0.0, mid)[1] >= hi:
-                above = mid
+            value, kernel = tv.exact_tv_equal_marginals(n, p, q), kernel_on_rows(n, p, q)
+            if reaches_overlap(n, p, q):
+                assert value.hex() == kernel.hex(), (n, p, q)
             else:
-                below = mid
-        assert tv.core._bernstein_window(n, 0.0, above)[1] == hi
-        return above
-
-    @staticmethod
-    def arm(n, p, q):
-        """How the count ranges [lo, hi] and [n - hi, n - lo] of a window meet."""
-        lo, hi = tv.core._bernstein_window(n, p, q)
-        first_end, second_start = min(hi, n - lo), max(lo, n - hi)
-        return ("identical" if lo == n - hi else "overlap" if second_start <= first_end
-                else "adjacent" if second_start == first_end + 1 else "disjoint")
-
-    def arm_cases(self):
-        gap = [(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n) for n in (91000, 10 ** 6)]
-        offset = [(10 ** 5, 0.3, 0.6), (10 ** 5, 0.45, 0.55), (10 ** 5, 0.4, 0.55)]
-        # A window is the hull of both sides' reaches, so q = 1 - p gives identical
-        # ranges; (0.01, 0.05) keeps both sides below n/2.
-        disjoint = [(n, 1.0 / n, 0.0) for n in (91000, 10 ** 6)] + [(10 ** 5, 0.01, 0.05)]
-        # Ranges that share their one end count, abut, and miss by one count.
-        touching = [(20000, 0.0, self.touching_q(20000, 10000)),
-                    (20001, 0.0, self.touching_q(20001, 10000)),
-                    (20000, 0.0, self.touching_q(20000, 9999))]
-        infinite = [(n, p, q) for n in (1, 2, 7, 50, 5000, 91000)
-                    for p, q in ((0.0, 0.3), (1.0, 0.3), (0.3, 0.0), (0.3, 1.0), (0.0, 1.0),
-                                 (1.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.0, 5e-324),
-                                 (1.0, 1.0 - 1e-16))]
-        return gap + offset + disjoint + touching + infinite
-
-    def test_shared_table_arms_bit_identical(self, monkeypatch):
-        import scipy.special
-
-        calls = []
-        gammaln = scipy.special.gammaln
-        monkeypatch.setattr(scipy.special, "gammaln",
-                            lambda x: calls.append(np.ndim(x)) or gammaln(x))
-        cases = self.arm_cases()
-        assert [self.arm(*case) for case in cases[:11]] == [
-            "identical", "identical", "overlap", "identical", "overlap",
-            "disjoint", "disjoint", "disjoint", "overlap", "adjacent", "disjoint"]
-        for n, p, q in cases:
-            arm = self.arm(n, p, q)
-            lo, hi = tv.core._bernstein_window(n, p, q)
-            calls.clear()
-            rows = tv.core._binomial_rows(n, p, q)
-            # One table where the ranges meet, two passes where they do not,
-            # besides the scalar gammaln(n + 1).
-            assert calls.count(1) == (2 if arm == "disjoint" else 1), (n, p, q, arm)
-            for row, prob in zip(rows, (p, q)):
-                expected = binomial_pmf_reference(n, prob, lo, hi)
-                assert row.tobytes() == expected.tobytes(), (n, p, q, prob)
-
-    def test_shared_coefficient_bit_identical(self):
-        """Both sides read one set of log binomial coefficients, and each
-        side's masses equal a per-side, per-count computation bit for bit."""
-        rng = np.random.default_rng(319)
-        for _ in range(300):
-            n = int(rng.integers(1, 100_001))
-            p, q = rng.random(2).tolist()
-            lo, hi = tv.core._bernstein_window(n, p, q)
-            for row, prob in zip(tv.core._binomial_rows(n, p, q), (p, q)):
-                expected = binomial_pmf_reference(n, prob, lo, hi)
-                assert row.tobytes() == expected.tobytes(), (n, p, q, prob)
+                assert value == 1.0, (n, p, q)
+                assert 1.0 - kernel <= equal_marginals_error_bound(n, p, q), (n, p, q)
 
 
 class TestEqualMarginalsErrorBound:
     """The closed form lies within its documented error bound of independent
     oracles: mpmath up to n = 10**7 and exact rationals for n <= 12."""
 
-    # Pairs whose window is the hull of two far-apart reaches cost O(n), so
-    # they stop at n = 10**6.
+    # Pairs whose two binomials sit far apart, or at the ends of [0, 1].
     WIDE = [(0.3, 0.9), (0.0, 1.0), (1.0, 0.0), (0.3, 0.3), (5e-324, 0.0), (1e-12, 0.5),
             (1.0 - 1e-12, 1.0), (5e-324, 1.0 - 1e-12)]
 
@@ -518,12 +475,16 @@ class TestEqualMarginalsErrorBound:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 50, 999, 4096, 31000, 91000, 10 ** 5,
                                    10 ** 6, 10 ** 7])
     def test_within_bound_of_mpmath(self, n):
-        pairs = self.narrow(n) + (self.WIDE if n <= 10 ** 6 else [])
+        pairs = self.narrow(n) + self.WIDE
         for p, q in pairs:
             value = tv.exact_tv_equal_marginals(n, p, q)
             exact = equal_marginals_mpmath(n, p, q)
             error = abs(value - exact)
             assert error <= equal_marginals_error_bound(n, p, q), (n, p, q, float(error))
+            if (p, q) == pairs[1]:
+                # (1/n, 0): the log-gamma masses used before lost 5.4e-9 of TV
+                # at n = 10**7 to cancellation.
+                assert error <= 1e-12 * exact, (n, float(error / exact))
             if (p, q) == pairs[0] and n >= 31000:
                 # Far inside the bound; without the row normalization the gap
                 # pair's error was 3.6e-8 of TV at n = 10**6 and 1.1e-6 at 10**7.
@@ -543,7 +504,6 @@ class TestEqualMarginalsErrorBound:
         import tracemalloc
 
         n = 10 ** 8
-        tv.exact_tv_equal_marginals(10, 0.5, 0.25)  # load scipy before tracing
         tracemalloc.start()
         try:
             tv.exact_tv_equal_marginals(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n)
@@ -552,6 +512,20 @@ class TestEqualMarginalsErrorBound:
         finally:
             tracemalloc.stop()
         assert peak < 100e6, peak
+
+    def test_far_pair_builds_no_rows(self):
+        """Disjoint reaches return 1.0 at once; the hull of (0.3, 0.9) at
+        n = 10**7 would hold 6.3e6 counts."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            value = tv.exact_tv_equal_marginals(10 ** 7, 0.3, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1.0
+        assert peak < 1e6, peak
 
 
 class TestScanTotal:

@@ -9,11 +9,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, rel_entr, xlog1py, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
 
 from prodtv import FiniteDist, FiniteProductPair, MarginalTV, scheffe_reduce
 from prodtv.bounds import (
     SYMMETRIC_TOLERANCE,
+    _rel_entr,
     hellinger_bracket,
     kl_bracket,
     l2_lower_bound,
@@ -77,7 +78,10 @@ def tv_fraction_bernoulli(p, q):
 
 def loop_reference(p_rows, q_rows):
     """Marginal TV, Scheffe reduction and Hellinger and KL brackets, one coordinate
-    at a time in plain Python loops, each row normalized as a FiniteDist."""
+    at a time in plain Python loops, each row normalized as a FiniteDist. Each
+    row's KL terms come from the library's _rel_entr on that row alone, so the
+    loops check the array form's padding, row sums and fold; the terms
+    themselves are checked against mpmath in test_bounds.py."""
     p_rows = [FiniteDist(row).masses for row in p_rows]
     q_rows = [FiniteDist(row).masses for row in q_rows]
     deltas, red_p, red_q, witnesses = [], [], [], []
@@ -90,7 +94,7 @@ def loop_reference(p_rows, q_rows):
         witnesses.append(tuple(int(i) for i in favored))
         diff = np.sqrt(dp) - np.sqrt(dq)
         affinity *= 1.0 - 0.5 * float((diff * diff).sum())
-        kl += float(rel_entr(dp, dq).sum())
+        kl += float(_rel_entr(dp, dq).sum())
         p_min *= float(dp.min())
         q_min *= float(dq.min())
     h_sq = 2.0 * (1.0 - affinity)
@@ -103,6 +107,31 @@ def loop_reference(p_rows, q_rows):
         kl_pair = (kl / (2.0 * np.log(1.0 / min(p_min, q_min))), min(1.0, np.sqrt(0.5 * kl)))
     return {"deltas": deltas, "p": np.clip(red_p, 0.0, 1.0), "q": np.clip(red_q, 0.0, 1.0),
             "witness_sets": tuple(witnesses), "hellinger": hellinger, "kl": kl_pair}
+
+
+def kl_mpmath(p_masses, q_masses, dps=50):
+    """(KL, S) of two (n, k) mass arrays, in mpmath at ``dps`` digits, each float
+    read as the number it stores: KL is the sum of x log(x/y) over all entries
+    (0 where x = 0, inf where y = 0 < x) and S the sum of their absolute values."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        kl = scale = mpmath.mpf(0)
+        for x, y in zip(np.ravel(p_masses).tolist(), np.ravel(q_masses).tolist()):
+            if x == 0.0:
+                continue
+            if y == 0.0:
+                return mpmath.inf, mpmath.inf
+            term = mpmath.mpf(x) * (mpmath.log(mpmath.mpf(x)) - mpmath.log(mpmath.mpf(y)))
+            kl += term
+            scale += abs(term)
+        return kl, scale
+
+
+def kl_error_bound(n, k_max, scale):
+    """kl_bracket's documented bound on the computed KL of an n-coordinate pair
+    with rows of k_max states, whose terms' absolute values sum to ``scale``."""
+    return (n + k_max + 24) * 2.0 ** -53 * float(scale) + n * k_max * 2.0 ** -1074
 
 
 def channel_matrix_reference(p, q):

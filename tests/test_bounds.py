@@ -8,10 +8,14 @@ import prodtv as tv
 from oracles import (
     bounds_report_reference,
     joint_masses,
+    kl_error_bound,
+    kl_mpmath,
     loop_reference,
     random_bernoulli_pair,
     random_product_pair,
 )
+from prodtv.bounds import (_kl_divergence, _left_sum, _min_mass_products, _product,
+                           _rel_entr)
 
 
 class TestConstants:
@@ -184,6 +188,19 @@ class TestKLBracket:
         assert lower is None
         assert upper <= 1.0
 
+    def test_state_of_mass_zero_on_both_sides_gates(self):
+        # A state that both sides give mass 0 makes P_min 0, so no lower bound;
+        # it must not be taken for padding. Without it the bound is emitted.
+        p_rows = [[0.5, 0.5, 0.0], [0.3, 0.7], [0.2, 0.3, 0.5]]
+        q_rows = [[0.4, 0.6, 0.0], [0.35, 0.65], [0.25, 0.3, 0.45]]
+        lower, upper = tv.kl_bracket(tv.FiniteProductPair(p_rows, q_rows))
+        assert lower is None
+        assert (lower, upper) == loop_reference(p_rows, q_rows)["kl"]
+        p_rows[0], q_rows[0] = [0.5, 0.5], [0.4, 0.6]
+        lower, upper = tv.kl_bracket(tv.FiniteProductPair(p_rows, q_rows))
+        assert lower is not None
+        assert (lower, upper) == loop_reference(p_rows, q_rows)["kl"]
+
     def test_additivity_matches_joint_computation(self):
         rng = np.random.default_rng(307)
         for _ in range(200):
@@ -206,6 +223,181 @@ class TestKLBracket:
                 emitted += 1
                 assert lower <= exact + 1e-9
         assert emitted > 50  # the gate should actually pass sometimes
+
+
+U = 2.0 ** -53
+SMALLEST = 2.0 ** -1074
+
+
+def _term_mpmath(x, y):
+    """x log(x/y) at the floats x and y, in mpmath, as a float."""
+    return float(kl_mpmath([[x]], [[y]])[0])
+
+
+class TestKLAgainstMpmath:
+    """The KL terms and sum against mpmath, within kl_bracket's documented bound.
+
+    np.log is SIMD-dispatched: on AVX-512 hosts numpy runs its own vectorized
+    log, elsewhere libm's, so the KL's last bits can differ between CPUs, as
+    upper_affinity's already can. The bound allows logs off by 4 ulps, so it
+    holds on either.
+    """
+
+    # Ratios x/y at and next to the branch points 1/2 and 2, subnormal and
+    # overflowing ratios, zero masses on either side and equal masses.
+    EDGES = [(0.5, 1.0), (1.0, 2.0), (0.25, 0.125), (0.3, 0.15),
+             (np.nextafter(0.5, 1.0), 1.0), (np.nextafter(0.5, 0.0), 1.0),
+             (np.nextafter(1.0, 2.0), 0.5), (np.nextafter(1.0, 0.0), 0.5),
+             (1.0, 1e-310), (1e-310, 1.0), (0.7, 1e-300), (1e-300, 0.7),
+             (5e-324, 1.0), (2.0 ** -1022, 1.0), (1.0, 2.0 ** -1022),
+             (0.0, 0.4), (0.0, 0.0), (0.4, 0.0), (0.4, 0.4), (1.0, 1.0)]
+
+    def check_pair(self, pair):
+        got = _kl_divergence(pair)
+        want, scale = kl_mpmath(pair.p_masses, pair.q_masses)
+        if want == math.inf:
+            assert got == math.inf
+            return
+        bound = kl_error_bound(pair.n, pair.p_masses.shape[1], scale)
+        assert abs(got - float(want)) <= bound, (got, float(want), bound)
+
+    def test_edge_terms(self):
+        x, y = (np.array(v, dtype=float) for v in zip(*self.EDGES))
+        got = _rel_entr(x, y)
+        for a, b, term in zip(x.tolist(), y.tolist(), got.tolist()):
+            want = _term_mpmath(a, b)
+            if a == 0.0:
+                assert term == 0.0 and not math.copysign(1.0, term) < 0.0
+            elif b == 0.0:
+                assert term == math.inf
+            else:
+                assert abs(term - want) <= 24 * U * abs(want) + SMALLEST, (a, b, term, want)
+
+    def test_terms_agree_with_scipy_rel_entr(self):
+        # Same zeros and infinities as scipy's rel_entr, and values within the
+        # documented 24 ulps plus scipy's own rounding (libm logs, 1 ulp).
+        rng = np.random.default_rng(340)
+        x = np.concatenate([rng.random(4000), rng.random(4000) ** 30,
+                            [a for a, _ in self.EDGES]])
+        y = np.concatenate([rng.random(4000), rng.random(4000) ** 30,
+                            [b for _, b in self.EDGES]])
+        x[::9] = 0.0
+        y[::13] = 0.0
+        got, want = _rel_entr(x, y), rel_entr(x, y)
+        if math.isinf(rel_entr(1.0, 1e-310)):
+            # A scipy without the log1p and log x - log y branches computes
+            # x*log(x/y) alone: compare it where that is the branch taken.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ratio = x / y
+            far = ((np.finfo(np.float64).tiny < ratio) & (ratio < np.inf)
+                   & ~((0.5 < ratio) & (ratio < 2.0)))
+            keep = far | (x == 0.0) | (y == 0.0)
+            got, want = got[keep], want[keep]
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        got, want = got[finite], want[finite]
+        assert np.all(np.abs(got - want) <= 32 * U * np.abs(want) + SMALLEST)
+
+    def test_each_term_alone_is_bit_identical(self):
+        x, y = (np.array(v, dtype=float) for v in zip(*self.EDGES))
+        rows = _rel_entr(np.tile(x, (3, 1)), np.tile(y, (3, 1)))
+        alone = [_rel_entr(x[i:i + 1], y[i:i + 1])[0] for i in range(x.size)]
+        assert rows.tobytes() == np.tile(alone, (3, 1)).tobytes()
+
+    def test_edge_pairs(self):
+        for p_rows, q_rows in [
+            ([[1.0, 0.0]], [[1e-310, 1.0]]),        # x/y overflows
+            ([[1e-310, 1.0]], [[1.0, 1e-310]]),     # and is subnormal
+            ([[0.5, 0.5, 0.0]], [[0.25, 0.75, 0.0]]),  # x/y = 2 exactly, and 0/0
+            ([[0.25, 0.75]], [[0.5, 0.5]]),         # x/y = 1/2 exactly
+            ([[0.2, 0.3, 0.5], [0.6, 0.4]], [[0.2, 0.3, 0.5], [0.6, 0.4]]),  # identical
+            ([[0.0, 1.0], [0.3, 0.7]], [[0.5, 0.5], [0.0, 1.0]]),  # y = 0 < x: inf
+        ]:
+            self.check_pair(tv.FiniteProductPair(p_rows, q_rows))
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(341)
+        for _ in range(150):
+            self.check_pair(random_product_pair(rng, n_max=8, support_max=7))
+        for gap in (1e-2, 1e-5, 1e-9, 1e-12):
+            for n in (1, 5, 40):
+                p = rng.uniform(0.1, 0.9, n)
+                q = p + gap * rng.choice((-1.0, 1.0), n)
+                self.check_pair(tv.FiniteProductPair.from_bernoulli(p, q))
+
+    def test_padded_rows_with_tiny_masses(self):
+        rng = np.random.default_rng(342)
+        for _ in range(60):
+            p_rows, q_rows = _random_rows(rng, int(rng.integers(1, 20)), 7)
+            for rows in (p_rows, q_rows):
+                for row in rows[::4]:
+                    row[-1] = 1e-300
+                    row /= row.sum()
+            self.check_pair(tv.FiniteProductPair(p_rows, q_rows))
+
+
+def _old_row_min(masses, sizes):
+    return masses.min(axis=1, where=np.arange(masses.shape[1]) < sizes[:, None],
+                      initial=np.inf)
+
+
+def _fold_product(values):
+    product = 1.0
+    for v in values.tolist():
+        product *= v
+    return product
+
+
+class TestOrderFreeReductions:
+    """The column-wise reductions and folds against the expressions they
+    replaced, bit for bit."""
+
+    def pairs(self, rng, k_max):
+        for _ in range(200):
+            p_rows, q_rows = _random_rows(rng, int(rng.integers(1, 41)), k_max)
+            for rows in (p_rows, q_rows):
+                for row in rows[::5]:
+                    row[int(rng.integers(row.size))] = 1e-300
+                    row /= row.sum()
+            yield tv.FiniteProductPair(p_rows, q_rows)
+
+    @pytest.mark.parametrize("k_max", [7, 12])
+    def test_min_mass_products_and_active_set(self, k_max):
+        rng = np.random.default_rng(343 + k_max)
+        gated = 0
+        for pair in self.pairs(rng, k_max):
+            sizes = pair.support_sizes
+            states = np.arange(pair.p_masses.shape[1]) < sizes[:, None]
+            got = _min_mass_products(pair, states)
+            want = [_fold_product(_old_row_min(masses, sizes))
+                    for masses in (pair.p_masses, pair.q_masses)]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            # kl_bracket's mask: P's positive masses, when P has no state of mass 0.
+            if np.count_nonzero(pair.p_masses > 0.0) == sizes.sum():
+                gated += 1
+                assert _min_mass_products(pair, pair.p_masses > 0.0) == got
+            favored = tv.scheffe_reduce(pair).favored
+            assert np.array_equal(favored.T.any(axis=0), favored.any(axis=1))
+        assert 0 < gated < 200  # both kinds of P occur
+
+    def test_empty_pair(self):
+        pair = tv.FiniteProductPair([[0.5, 0.5]], [[0.5, 0.5]])._take(np.array([False]))
+        assert _min_mass_products(pair, pair.p_masses > 0.0) == [1.0, 1.0]
+        assert _product(np.array([])) == 1.0 and _left_sum(np.array([])) == 0.0
+
+    def test_product_and_sum_fold_left_to_right(self):
+        # From 8 values numpy's sum adds pairwise, and a fold would differ.
+        rng = np.random.default_rng(345)
+        for n in (1, 2, 7, 8, 9, 100, 1000):
+            factors, terms = rng.uniform(0.5, 1.5, n), rng.uniform(-1.0, 1.0, n)
+            product, total = 1.0, 0.0
+            for f, t in zip(factors.tolist(), terms.tolist()):
+                product *= f
+                total += t
+            assert _product(factors) == product
+            assert _left_sum(terms) == total
+        for zeros in ([-0.0], [-0.0, -0.0], [-0.0, 0.0]):
+            assert math.copysign(1.0, _left_sum(np.array(zeros))) == 1.0
 
 
 class TestBoundsReport:

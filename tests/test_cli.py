@@ -833,8 +833,8 @@ def scipy_steps(calls):
 
 
 class TestScipyLoadedOnDemand:
-    """Importing prodtv and running the commands that need no scipy.special
-    function leaves scipy unloaded; bounds loads it when it runs."""
+    """Importing prodtv and running any command or bound leaves scipy unloaded:
+    the library needs numpy only, and scipy is a test oracle."""
 
     BERN = json.dumps({"p": [0.5, 0.3, 0.9], "q": [0.1, 0.3, 0.95]})
     GENERAL = json.dumps(GENERAL_MIXED)
@@ -852,17 +852,23 @@ class TestScipyLoadedOnDemand:
             (["reduce", "-"], self.GENERAL),
             (["symmetrize", "-"], self.BERN),
             (["lowther", "--weights", "1,2,3", "--threshold", "0.8"], ""),
+            (["bounds", "-"], self.BERN),
+            (["bounds", "-", "--exact"], self.GENERAL),
+            ("prodtv.bounds_report(prodtv.FiniteProductPair("
+             "[[0.2, 0.8], [0.5, 0.25, 0.25]], [[0.3, 0.7], [0.0, 0.5, 0.5]]))", ""),
         ])
-        assert len(steps) == 13
+        assert len(steps) == 16
         assert all(not modules for _, modules in steps), steps
 
     @pytest.mark.parametrize("argv, stdin", [
         (["bounds", "-"], BERN),
         (["sweep", "--n", "4"], ""),
+        (["bounds", "-", "--exact"], GENERAL),
     ])
     def test_bounds_and_sweep_load_it(self, argv, stdin):
-        """Run alone in a fresh interpreter, bounds loads scipy.special (for
-        kl_bracket) and sweep, whose closed form uses no scipy, leaves it out."""
+        """Run alone in a fresh interpreter, bounds (kl_bracket included),
+        bounds --exact and sweep leave scipy unloaded at import and after
+        the run."""
         (_, at_import), (_, after_import), (_, after_run) = scipy_steps([(argv, stdin)])
         assert not at_import and not after_import
-        assert ("scipy.special" in after_run) == (argv[0] == "bounds"), after_run
+        assert not after_run, after_run

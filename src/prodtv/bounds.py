@@ -17,7 +17,7 @@ from dataclasses import dataclass, make_dataclass
 import numpy as np
 
 from .core import (FiniteProductPair, MarginalTV, ProbVector, _as_pair, _l2_norm, _params,
-                   _unchecked)
+                   _row_sums, _unchecked)
 from .reduce import ScheffeReduction, scheffe_reduce
 
 __all__ = [
@@ -118,7 +118,7 @@ def hellinger_bracket(pair: FiniteProductPair) -> tuple:
     """
     pair = _as_pair(pair)
     diff = np.sqrt(pair.p_masses) - np.sqrt(pair.q_masses)
-    affinity = _product(1.0 - 0.5 * (diff * diff).sum(axis=1))
+    affinity = _product(1.0 - 0.5 * _row_sums(diff * diff))
     h_sq = 2.0 * (1.0 - affinity)
     lower = 0.5 * h_sq
     upper = math.sqrt(h_sq) * math.sqrt(max(0.0, 1.0 - 0.25 * h_sq))
@@ -166,7 +166,7 @@ def _rel_entr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _kl_divergence(pair: FiniteProductPair) -> float:
     """KL(P||Q): each coordinate's _rel_entr terms summed by numpy, the
     coordinates' sums added left to right."""
-    return _left_sum(_rel_entr(pair.p_masses, pair.q_masses).sum(axis=1))
+    return _left_sum(_row_sums(_rel_entr(pair.p_masses, pair.q_masses)))
 
 
 def kl_bracket(pair: FiniteProductPair) -> tuple:

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FiniteProductPair, ProbVector, _as_pair
+from .core import FiniteProductPair, ProbVector, _as_pair, _row_sums
 
 __all__ = ["ScheffeReduction", "scheffe_reduce"]
 
@@ -44,7 +44,7 @@ def scheffe_reduce(pair: FiniteProductPair) -> ScheffeReduction:
     favored = pair.p_masses > pair.q_masses
     favored.flags.writeable = False
     return ScheffeReduction(
-        p=ProbVector(np.where(favored, pair.p_masses, 0.0).sum(axis=1)),
-        q=ProbVector(np.where(favored, pair.q_masses, 0.0).sum(axis=1)),
+        p=ProbVector(_row_sums(np.where(favored, pair.p_masses, 0.0))),
+        q=ProbVector(_row_sums(np.where(favored, pair.q_masses, 0.0))),
         favored=favored,
     )

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -528,6 +529,23 @@ class TestEqualMarginalsErrorBound:
         assert peak < 1e6, peak
 
 
+class TestRowSums:
+    """The two-state column add is numpy's row sum, bit for bit."""
+
+    SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+                np.inf, -np.inf, np.nan]
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_matches_sum(self, width):
+        rng = np.random.default_rng(404 + width)
+        every = np.array(list(itertools.product(self.SPECIALS, repeat=width)))
+        mixed = rng.choice(self.SPECIALS, (500, width)) * rng.random((500, width))
+        masses = np.concatenate((every, mixed, rng.random((100, width))))
+        with np.errstate(invalid="ignore"):
+            got, want = tv.core._row_sums(masses), masses.sum(axis=1)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
 class TestScanTotal:
     """The kernel's O(N) total is the last element of the full scan, bit for bit."""
 
@@ -561,6 +579,19 @@ class TestScanTotal:
             assert (tv.core._scan_total(values).hex()
                     == float(scan_reference(values)[-1]).hex()), values
 
+    @staticmethod
+    def tie_heavy_pair(rng, n):
+        """A Bernoulli pair whose half-outcomes share many ratios: parameters
+        0 or 1 with q equal or nearby, a few repeated values, or q = 1 - p."""
+        kind = int(rng.integers(3))
+        if kind == 0:
+            pa = rng.integers(0, 2, n).astype(float)
+            nudge = rng.choice([0.0, 1e-12, 0.01, 0.3], n)
+            return pa, np.clip(np.where(pa == 1.0, pa - nudge, pa + nudge), 0.0, 1.0)
+        values = rng.random(int(rng.integers(1, 4)))
+        pa = rng.choice(values, n)
+        return pa, (1.0 - pa if kind == 1 else rng.choice(values, n))
+
     def test_kernel_bit_identical(self):
         rng = np.random.default_rng(403)
         for _ in range(300):
@@ -576,6 +607,14 @@ class TestScanTotal:
         for case, rows in GENERAL_CONTRACT.items():
             assert (tv.core._exact_tv(*rows).hex()
                     == exact_kernel_reference(*rows).hex()), case
+        # Large halves, where the order in which half A is searched matters,
+        # and pairs whose half-outcomes tie in ratio.
+        pairs = [(rng.random(n), rng.random(n)) for n in range(20, 25)]
+        pairs += [self.tie_heavy_pair(rng, int(rng.integers(1, 25))) for _ in range(60)]
+        for pa, qa in pairs:
+            rows = (np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
+            assert (tv.core._exact_tv(*rows).hex()
+                    == exact_kernel_reference(*rows).hex()), (pa, qa)
 
 
 class TestArgumentChecks:

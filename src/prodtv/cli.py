@@ -33,16 +33,11 @@ from .core import (
     ProbVector,
     _matched_params,
     exact_tv_bernoulli,
+    exact_tv_equal_marginals,
     exact_tv_general,
     mc_tv_estimate,
 )
-from .extremal import (
-    LOWTHER_RATIO_BOUND,
-    RademacherInstance,
-    _gap_exact_tvs,
-    _gap_scalars,
-    lowther_check,
-)
+from .extremal import LOWTHER_RATIO_BOUND, RademacherInstance, _gap_scalars, lowther_check
 from .reduce import scheffe_reduce
 from .symmetrize import apply_channel_product
 
@@ -321,10 +316,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for n in _parse_n_values(args):
         tv_pq, tv_upper, ratio_lower = _gap_scalars(n)
-        tv_exact, tv_prime_exact = _gap_exact_tvs(n)
-        ratio = tv_exact / tv_prime_exact
-        rows.append((n, tv_pq, tv_prime_exact, tv_upper, ratio, ratio_lower,
-                     ratio / math.sqrt(n)))
+        tv_prime = exact_tv_equal_marginals(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n)
+        ratio = tv_pq / tv_prime
+        rows.append((n, tv_pq, tv_prime, tv_upper, ratio, ratio_lower, ratio / math.sqrt(n)))
     _emit_rows(SWEEP_COLUMNS, rows, args.format)
     return 0
 

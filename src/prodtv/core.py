@@ -320,8 +320,12 @@ def _check_budget(sizes, budget_log2: int | None) -> None:
     """The budget rule of both exact entries: the joint support, the product
     of ``sizes``, must be at most 2**budget_log2 (DEFAULT_BUDGET_LOG2 when
     None), or EnumerationBudgetError is raised. The Python-int product stops
-    once it passes the budget, and the message never formats the support."""
-    budget = DEFAULT_BUDGET_LOG2 if budget_log2 is None else int(budget_log2)
+    once it passes the budget, and the message never formats the support.
+    budget_log2 must be None, an int or a numpy integer (not a bool)."""
+    budget = DEFAULT_BUDGET_LOG2 if budget_log2 is None else budget_log2
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise ValueError(f"budget_log2 must be an integer or None, got {budget_log2!r}")
+    budget = int(budget)
     support = 1
     for size in sizes:
         support *= size

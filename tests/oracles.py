@@ -262,6 +262,21 @@ def equal_marginals_error_bound(n, p, q):
     return kernel + truncation + 2 * binomial_row_bound(width)
 
 
+# The documented relative error bounds of extremal._gap_scalars.
+GAP_TV_PQ_BOUND = 4 * 2.0 ** -53
+GAP_RATIO_LOWER_BOUND = 7 * 2.0 ** -53
+
+
+def gap_tv_pq_mpmath(n, dps=30):
+    """TV of (1/n, ..., 1/n) against 0 at integer n, 1 - (1 - 1/n)**n, in
+    mpmath as the power itself: 1/n carries dps + len(str(n)) digits, so the
+    n-th power of 1 - 1/n keeps about dps of them."""
+    import mpmath
+
+    with mpmath.workdps(dps + len(str(n))):
+        return 1 - (1 - mpmath.mpf(1) / n) ** n
+
+
 def binomial_row_l1_mpmath(n, prob, lo, row, dps=30):
     """The l1 distance, in mpmath, of ``row``, masses at the counts lo,
     lo + 1, ..., from the Binomial(n, prob) pmf at the float prob.

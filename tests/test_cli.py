@@ -13,7 +13,13 @@ import prodtv
 from prodtv import cli, exact_tv_bernoulli
 from prodtv.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_PARSE, main
 
-from oracles import equal_marginals_error_bound, equal_marginals_mpmath
+from oracles import (
+    GAP_RATIO_LOWER_BOUND,
+    GAP_TV_PQ_BOUND,
+    equal_marginals_error_bound,
+    equal_marginals_mpmath,
+    gap_tv_pq_mpmath,
+)
 
 
 def write_instance(tmp_path, doc, name="instance.json"):
@@ -323,6 +329,13 @@ class TestGapCommand:
         assert lines[0] == "n,tv_pq,tv_pq_prime_upper,ratio_lower,sqrt_n"
         assert lines[1] == "4,0.68359375,0.5,1.3671875,2.0"
 
+    def test_past_the_power_form(self, capsys):
+        # (1 - 1/n)**n rounds to 1 here, so the power form printed tv_pq 0.0.
+        code, out, _ = run(capsys, ["gap", "--n", "20000000000000000"])
+        assert code == 0
+        row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        assert (row["tv_pq"], row["ratio_lower"]) == ("0.6321205588285577", "89395346.73502061")
+
     def test_range(self, capsys):
         code, out, _ = run(capsys, ["gap", "--n-range", "1:3"])
         assert code == 0
@@ -410,6 +423,14 @@ class TestLowtherCommand:
         code, out, err = run(capsys, ["lowther", "--weights", ",", "--threshold", "1"])
         assert (code, out) == (EXIT_PARSE, "")
         assert err == "error: --weights must contain at least one value\n"
+
+    @pytest.mark.parametrize("weights, threshold", [
+        ("1e200,1e200", "1"), ("1e-200,1e-200", "1"), ("1e10,1e10", "1e-320"),
+    ], ids=["norm-overflows", "norm-underflows", "threshold-underflows"])
+    def test_unscalable_input_is_domain_error(self, capsys, weights, threshold):
+        code, out, err = run(capsys, ["lowther", "--weights", weights, "--threshold", threshold])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_over_the_cap_is_budget_error(self, capsys):
         code, out, err = run(capsys, ["lowther", "--weights", ",".join(["1"] * 21),
@@ -633,10 +654,10 @@ SYMMETRIZE_CHANNEL_CASES = """\
 
 SWEEP_RANGE = """\
 n,tv_pq,tv_pq_prime_exact,tv_pq_prime_upper,gap_ratio_exact,ratio_lower,gap_ratio_over_sqrt_n
-1000,0.6323045752290363,0.025220823043774487,0.03162277660168379,25.070735167190122,19.99522632669038,0.7928062574320308
-31000,0.6321264924476032,0.004531618879070887,0.005679618342470648,139.4924218731494,111.29735385927826,0.7922637179063932
-61000,0.6321235742542065,0.003230518091609791,0.00404888165089458,195.67250711151988,156.123005994641,0.7922548236283721
-91000,0.6321225801550577,0.002644949453394496,0.0033149677206589794,238.99231017143458,190.6874013329453,0.7922517937040242
+1000,0.6323045752290359,0.025220823043774487,0.03162277660168379,25.07073516719012,19.995226326690368,0.7928062574320307
+31000,0.6321264924476846,0.004531618879070887,0.005679618342470648,139.49242187314942,111.2973538592926,0.7922637179063933
+61000,0.6321235742544105,0.003230518091609791,0.00404888165089458,195.67250711151988,156.12300599469137,0.7922548236283721
+91000,0.6321225801534236,0.002644949453394496,0.0033149677206589794,238.99231017143453,190.68740133245234,0.7922517937040241
 """
 
 
@@ -664,18 +685,23 @@ class TestPinnedOutput:
         assert out == SWEEP_RANGE
 
     def test_sweep_values_within_bound_of_mpmath(self):
-        """The pinned exact TVs lie within the closed form's error bound of
-        mpmath, and the two ratios within the interval those bounds allow."""
+        """The pinned values lie within their error bounds of mpmath: tv_pq and
+        ratio_lower within those of ``_gap_scalars``, the exact TV of the
+        symmetric pair within the closed form's, and the two exact ratios
+        within the interval those bounds allow."""
         import mpmath
 
         header, *lines = SWEEP_RANGE.splitlines()
         for line in lines:
             row = dict(zip(header.split(","), line.split(",")))
             n = int(row["n"])
-            pairs = [(1.0 / n, 0.0), (0.5 + 0.5 / n, 0.5 - 0.5 / n)]
-            (tv_pq, tv_prime), (e_pq, e_prime) = zip(*[
-                (equal_marginals_mpmath(n, *pair), equal_marginals_error_bound(n, *pair))
-                for pair in pairs])
+            prime = (0.5 + 0.5 / n, 0.5 - 0.5 / n)
+            tv_pq, tv_prime = gap_tv_pq_mpmath(n), equal_marginals_mpmath(n, *prime)
+            e_pq, e_prime = GAP_TV_PQ_BOUND * tv_pq, equal_marginals_error_bound(n, *prime)
+            assert abs(float(row["tv_pq"]) - tv_pq) <= e_pq, n
+            ratio_lower = tv_pq * mpmath.sqrt(n)
+            assert (abs(float(row["ratio_lower"]) - ratio_lower)
+                    <= GAP_RATIO_LOWER_BOUND * ratio_lower), n
             assert abs(float(row["tv_pq_prime_exact"]) - tv_prime) <= e_prime, n
             low = (tv_pq - e_pq) / (tv_prime + e_prime)
             high = (tv_pq + e_pq) / (tv_prime - e_prime)

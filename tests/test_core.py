@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import prodtv as tv
 from oracles import (
+    GAP_TV_PQ_BOUND,
     binomial_pmf_reference,
     binomial_row_bound,
     binomial_row_l1_mpmath,
@@ -16,6 +17,7 @@ from oracles import (
     equal_marginals_error_bound,
     equal_marginals_mpmath,
     exact_kernel_reference,
+    gap_tv_pq_mpmath,
     mc_estimate_reference,
     mc_product_reference,
     random_bernoulli_pair,
@@ -445,11 +447,15 @@ class TestEqualMarginalsWindow:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_gap_ratio_bit_identical(self, n):
-        """gap_ratio_exact and each closed-form value are the kernel on the
-        normalized rows, bit for bit, where the two reaches overlap; where they
-        are disjoint the value is 1.0, within the bound of the kernel's."""
+        """gap_ratio_exact is the gap's tv_pq, within its bound of mpmath,
+        over the kernel on the symmetric pair's normalized rows, bit for bit.
+        Each closed-form value is the kernel on the normalized rows, bit for
+        bit, where the two reaches overlap; where they are disjoint the value
+        is 1.0, within the bound of the kernel's."""
         inv = 1.0 / n
-        expected = kernel_on_rows(n, inv, 0.0) / kernel_on_rows(n, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv)
+        tv_pq, exact = tv.extremal._gap_scalars(n)[0], gap_tv_pq_mpmath(n)
+        assert abs(tv_pq - exact) <= GAP_TV_PQ_BOUND * exact
+        expected = tv_pq / kernel_on_rows(n, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv)
         assert tv.gap_ratio_exact(n).hex() == expected.hex()
         for p, q in self.pairs(n, np.random.default_rng(130 + n)):
             value, kernel = tv.exact_tv_equal_marginals(n, p, q), kernel_on_rows(n, p, q)
@@ -664,6 +670,16 @@ class TestArgumentChecks:
             call()
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("budget", [2.9, float("inf"), float("nan"), True, "3"])
+    def test_budget_must_be_an_integer(self, budget):
+        message = f"budget_log2 must be an integer or None, got {budget!r}"
+        pair = tv.FiniteProductPair([[0.5, 0.5]], [[0.2, 0.8]])
+        for call in (lambda: tv.exact_tv_bernoulli([0.5], [0.2], budget_log2=budget),
+                     lambda: tv.exact_tv_general(pair, budget_log2=budget)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
     def test_numpy_integers_accepted(self):
         n = np.int64(6)
         assert tv.gap_instance(n).n == 6
@@ -671,6 +687,12 @@ class TestArgumentChecks:
         assert (tv.exact_tv_equal_marginals(n, 0.3, 0.6)
                 == tv.exact_tv_equal_marginals(6, 0.3, 0.6))
         assert tv.mc_tv_estimate([0.5], [0.2], samples=np.int64(10)).samples == 10
+        pair = tv.FiniteProductPair([[0.5, 0.5]], [[0.2, 0.8]])
+        for budget in (np.int64(1), np.uint8(1), 1):
+            assert tv.exact_tv_bernoulli([0.5], [0.2], budget_log2=budget) == 0.3
+            assert tv.exact_tv_general(pair, budget_log2=budget) == 0.3
+        with pytest.raises(tv.EnumerationBudgetError):
+            tv.exact_tv_bernoulli([0.5, 0.5], [0.2, 0.2], budget_log2=np.int64(1))
         p, q = [0.5, 0.3, 0.9], [0.1, 0.3, 0.2]
         assert (tv.mc_tv_estimate(p, q, 5000, seed=np.int64(7))
                 == tv.mc_tv_estimate(p, q, 5000, seed=7))

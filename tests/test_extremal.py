@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import prodtv as tv
-from oracles import tv_bernoulli_brute
+from oracles import GAP_RATIO_LOWER_BOUND, GAP_TV_PQ_BOUND, gap_tv_pq_mpmath, tv_bernoulli_brute
 
 
 class TestGapInstance:
@@ -67,6 +67,33 @@ class TestGapInstance:
             tv.gap_instance(-3)
 
 
+class TestGapClosedForm:
+    """tv_pq and ratio_lower of _gap_scalars lie within their documented
+    relative bounds of mpmath, on every n up to 3000 and on log-spaced n up
+    to 10**17, where the power form (1 - 1/n)**n loses every bit."""
+
+    SIZES = list(range(1, 3001)) + sorted({int(x) for x in np.logspace(np.log10(3001), 17, 4000)})
+
+    def test_within_bound_of_mpmath(self):
+        import mpmath
+
+        for n in self.SIZES:
+            tv_pq, upper, ratio_lower = tv.extremal._gap_scalars(n)
+            exact = gap_tv_pq_mpmath(n)
+            assert abs(tv_pq - exact) <= GAP_TV_PQ_BOUND * exact, n
+            assert upper == n ** -0.5
+            ratio = exact * mpmath.sqrt(n)
+            assert abs(ratio_lower - ratio) <= GAP_RATIO_LOWER_BOUND * ratio, n
+
+    def test_n_one_and_two_are_exact(self):
+        assert tv.extremal._gap_scalars(1) == (1.0, 1.0, 1.0)
+        assert tv.extremal._gap_scalars(2)[0] == 0.75
+
+    def test_past_the_power_form(self):
+        # (1 - 1/n)**n rounds to 1 here, so the power form gave tv_pq = 0.0.
+        assert tv.extremal._gap_scalars(2 * 10 ** 16)[0] == 0.6321205588285577
+
+
 class TestGapRatioExact:
     def test_n_one(self):
         assert tv.gap_ratio_exact(1) == 1.0
@@ -105,6 +132,26 @@ class TestRademacherInstance:
             tv.RademacherInstance([-0.5], 1.0)
         with pytest.raises(ValueError):
             tv.RademacherInstance([0.5], 0.0)
+
+
+    @pytest.mark.parametrize("weights, threshold, message", [
+        ([1e200, 1e200], 1.0, "the weights' l2 norm overflows or underflows, to inf"),
+        ([1e-200, 1e-200], 1.0, "the weights' l2 norm overflows or underflows, to 0.0"),
+        ([1e10, 1e10], 1e-320, "threshold 1e-320 / l2 norm 14142135623.730951 underflows to 0"),
+    ], ids=["norm-overflows", "norm-underflows", "threshold-underflows"])
+    def test_rejects_unscalable_inputs(self, weights, threshold, message):
+        with pytest.raises(ValueError) as info:
+            tv.RademacherInstance(weights, threshold)
+        assert str(info.value) == message
+
+    def test_extreme_finite_norms_keep_their_bits(self):
+        for weights, threshold in (([1e-150, 3e-150], 2e-150), ([1e150, 3e150], 2e150)):
+            arr = np.array(weights)
+            scale = math.sqrt(float(np.square(arr).sum()))
+            inst = tv.RademacherInstance(weights, threshold)
+            assert inst.weights.tolist() == (arr / scale).tolist()
+            assert inst.threshold == threshold / scale
+            assert tv.lowther_check(inst)[2] <= tv.LOWTHER_RATIO_BOUND
 
 
 class TestLowtherCheck:

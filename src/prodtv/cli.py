@@ -9,8 +9,9 @@ string ``label``:
 Reports are emitted as JSON (default), CSV, or an aligned text table; floats
 use shortest round-trip formatting, so identical invocations produce
 byte-identical output. Exit codes: 0 success, 2 parse/validation error,
-3 enumeration budget exceeded, 4 numeric-domain error (including an exact TV
-that ``bounds --exact`` finds outside its own bracket).
+3 enumeration budget exceeded (or a closed-form window past it), 4
+numeric-domain error (including an exact TV that ``bounds --exact`` finds
+outside its own bracket, and a size past the float range).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .core import (
     InvalidDistributionError,
     ProbVector,
     _matched_params,
-    exact_tv_bernoulli,
     exact_tv_equal_marginals,
     exact_tv_general,
     mc_tv_estimate,
@@ -60,21 +60,19 @@ class CliParseError(Exception):
 
 @dataclass(frozen=True)
 class Instance:
-    """A parsed instance; a Bernoulli one keeps p and q and builds its
-    FiniteProductPair only when ``pair`` is read (by bounds and reduce)."""
+    """A parsed instance: a general one holds its FiniteProductPair, and a
+    Bernoulli one keeps p and q and builds its pair once, when ``pair`` is
+    first read (by bounds, exact and reduce)."""
 
-    kind: str  # "bernoulli" or "general"
     label: str | None
     n: int
     p: ProbVector | None = None
     q: ProbVector | None = None
     general_pair: FiniteProductPair | None = None
 
-    @property
+    @functools.cached_property
     def pair(self) -> FiniteProductPair:
-        if self.kind == "general":
-            return self.general_pair
-        return FiniteProductPair.from_bernoulli(self.p, self.q)
+        return self.general_pair or FiniteProductPair.from_bernoulli(self.p, self.q)
 
 
 def _fmt(value) -> str:
@@ -115,10 +113,10 @@ def _read_instance(args, bernoulli: bool = False) -> Instance:
     try:
         if general_keys:
             pair = FiniteProductPair(doc["P"], doc["Q"])
-            return Instance(kind="general", label=label, n=pair.n, general_pair=pair)
+            return Instance(label=label, n=pair.n, general_pair=pair)
         p, q = ProbVector(doc["p"]), ProbVector(doc["q"])
         _matched_params(p, q)
-        return Instance(kind="bernoulli", label=label, n=p.n, p=p, q=q)
+        return Instance(label=label, n=p.n, p=p, q=q)
     except (InvalidDistributionError, DimensionMismatchError) as exc:
         raise CliParseError(f"{source}: {exc}")
 
@@ -169,16 +167,9 @@ def _base_doc(instance: Instance) -> dict:
     doc = {"schema_version": SCHEMA_VERSION}
     if instance.label is not None:
         doc["label"] = instance.label
-    doc["kind"] = instance.kind
+    doc["kind"] = "general" if instance.general_pair else "bernoulli"
     doc["n"] = instance.n
     return doc
-
-
-def _exact_tv(instance: Instance, budget, workers: int) -> float:
-    if instance.kind == "bernoulli":
-        return exact_tv_bernoulli(instance.p, instance.q,
-                                  budget_log2=budget, workers=workers)
-    return exact_tv_general(instance.pair, budget_log2=budget, workers=workers)
 
 
 def _check_bracket(report, exact: float) -> None:
@@ -208,7 +199,8 @@ def cmd_bounds(args) -> int:
     doc["ratio"] = report.ratio
     if args.exact:
         try:
-            exact = _exact_tv(instance, args.budget, args.workers)
+            exact = exact_tv_general(instance.pair, budget_log2=args.budget,
+                                     workers=args.workers)
         except EnumerationBudgetError as exc:
             doc["warnings"] = [f"exact TV omitted: {exc}"]
         else:
@@ -221,7 +213,7 @@ def cmd_bounds(args) -> int:
 def cmd_exact(args) -> int:
     instance = _read_instance(args)
     doc = _base_doc(instance)
-    doc["tv"] = _exact_tv(instance, args.budget, args.workers)
+    doc["tv"] = exact_tv_general(instance.pair, budget_log2=args.budget, workers=args.workers)
     _emit_scalar_doc(doc, args.format)
     return 0
 
@@ -417,7 +409,7 @@ def main(argv=None) -> int:
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # the latter: a size past the float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

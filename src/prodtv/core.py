@@ -172,9 +172,13 @@ class FiniteDist:
         return np.array(self.masses, dtype=dtype, copy=copy)
 
 
-def _unpadded(masses: np.ndarray, sizes: np.ndarray) -> list:
-    """The rows of a padded mass array, each cut to its support size."""
-    return [row[:k] for row, k in zip(masses, sizes.tolist())]
+def _unpadded(masses: np.ndarray, sizes: list):
+    """The rows of a padded mass array, each cut to its support size from the
+    list ``sizes``: the array itself when no row is padded, since iterating it
+    gives the rows."""
+    if min(sizes) == masses.shape[1]:
+        return masses
+    return [row[:k] for row, k in zip(masses, sizes)]
 
 
 def _unchecked(cls, **fields):
@@ -229,12 +233,12 @@ class FiniteProductPair:
     @property
     def p_side(self) -> tuple:
         return tuple(_unchecked(FiniteDist, masses=row)
-                     for row in _unpadded(self.p_masses, self.support_sizes))
+                     for row in _unpadded(self.p_masses, self.support_sizes.tolist()))
 
     @property
     def q_side(self) -> tuple:
         return tuple(_unchecked(FiniteDist, masses=row)
-                     for row in _unpadded(self.q_masses, self.support_sizes))
+                     for row in _unpadded(self.q_masses, self.support_sizes.tolist()))
 
     def joint_support(self) -> int:
         """The product of the support sizes, as a Python int (an int64 one wraps
@@ -243,9 +247,21 @@ class FiniteProductPair:
 
     @classmethod
     def from_bernoulli(cls, p, q) -> "FiniteProductPair":
-        """Two-point encoding of a Bernoulli pair; state 1 carries the parameter."""
-        pa, qa = _matched_params(p, q)
-        return cls(np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
+        """Two-point encoding of a Bernoulli pair, rows (1 - p_i, p_i): state 1
+        carries the parameter. It is the one place where a Bernoulli pair
+        becomes rows, and the rows are not validated a second time.
+
+        ProbVector has checked the parameters, and for every double p in
+        [0, 1] the sum (1 - p) + p rounds to exactly 1.0: for p >= 1/2, 1 - p
+        is exact, and otherwise 1 - p lies in (1/2, 1] within 2**-54 of its
+        true value, so the sum is within 2**-54 of 1 and rounds to it (a tie
+        goes to the even 1.0). Dividing each row by its total, as the
+        constructor does, would change no bit, signed zeros included.
+        """
+        p_masses, q_masses = (_readonly(np.stack((1.0 - params, params), axis=1))
+                              for params in _matched_params(p, q))
+        return _unchecked(cls, p_masses=p_masses, q_masses=q_masses,
+                          support_sizes=_readonly(np.full(len(p_masses), 2)))
 
 
 def _as_pair(pair) -> FiniteProductPair:
@@ -316,12 +332,14 @@ def _positive_int(value, name: str) -> int:
     return int(value)
 
 
-def _check_budget(sizes, budget_log2: int | None) -> None:
-    """The budget rule of both exact entries: the joint support, the product
-    of ``sizes``, must be at most 2**budget_log2 (DEFAULT_BUDGET_LOG2 when
-    None), or EnumerationBudgetError is raised. The Python-int product stops
-    once it passes the budget, and the message never formats the support.
-    budget_log2 must be None, an int or a numpy integer (not a bool)."""
+def _check_budget(sizes, budget_log2: int | None, n: int | None = None) -> None:
+    """The budget rule of every exact entry: the joint support, the product
+    of the support ``sizes`` the kernel will enumerate, must be at most
+    2**budget_log2 (DEFAULT_BUDGET_LOG2 when None), or EnumerationBudgetError
+    is raised, naming the caller's ``n`` (by default the number of sizes).
+    The Python-int product stops once it passes the budget, and the message
+    never formats the support. budget_log2 must be None, an int or a numpy
+    integer (not a bool)."""
     budget = DEFAULT_BUDGET_LOG2 if budget_log2 is None else budget_log2
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
         raise ValueError(f"budget_log2 must be an integer or None, got {budget_log2!r}")
@@ -331,7 +349,7 @@ def _check_budget(sizes, budget_log2: int | None) -> None:
         support *= size
         if (support - 1).bit_length() > budget:  # support > 2**budget, for any budget
             raise EnumerationBudgetError(f"joint support exceeds the 2^{budget} "
-                                         f"enumeration budget (n = {len(sizes)})")
+                                         f"enumeration budget (n = {n or len(sizes)})")
 
 
 def _product_block(mass_list) -> np.ndarray:
@@ -418,17 +436,24 @@ def _exact_tv(p_rows, q_rows) -> float:
     return min(1.0, _scan_total(terms))
 
 
+def _exact_pair_tv(pair: FiniteProductPair, budget_log2: int | None) -> float:
+    """The body of both enumeration entries: the budget rule on the support
+    sizes, then the kernel on the rows cut to them."""
+    sizes = pair.support_sizes.tolist()
+    _check_budget(sizes, budget_log2)
+    return _exact_tv(_unpadded(pair.p_masses, sizes), _unpadded(pair.q_masses, sizes))
+
+
 def exact_tv_bernoulli(p, q, *, budget_log2: int | None = None, workers: int = 1) -> float:
     """Exact TV distance between two Bernoulli product distributions.
 
-    The 2**n joint outcomes are summed by the meet-in-the-middle kernel in
-    O(2**(n/2) n) time; the joint support 2**n must fit the enumeration
-    budget (``_check_budget``, the rule of both exact entries). ``workers`` is
+    It is ``exact_tv_general`` on ``FiniteProductPair.from_bernoulli(p, q)``,
+    bit for bit: the 2**n joint outcomes must fit the enumeration budget
+    (``_check_budget``, the rule of every exact entry), and the
+    meet-in-the-middle kernel sums them in O(2**(n/2) n) time. ``workers`` is
     accepted for compatibility and does not change the result or start threads.
     """
-    pa, qa = _matched_params(p, q)
-    _check_budget([2] * pa.size, budget_log2)
-    return _exact_tv(np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
+    return _exact_pair_tv(FiniteProductPair.from_bernoulli(p, q), budget_log2)
 
 
 def exact_tv_general(pair: FiniteProductPair, *, budget_log2: int | None = None,
@@ -436,14 +461,11 @@ def exact_tv_general(pair: FiniteProductPair, *, budget_log2: int | None = None,
     """Exact TV distance between two general finite product distributions.
 
     The joint support (product of per-coordinate support sizes) must fit the
-    enumeration budget (``_check_budget``), although the meet-in-the-middle
-    kernel only visits about its square root. ``workers`` is accepted and
-    does not change the result.
+    enumeration budget (``_check_budget``, checked before any row is built),
+    although the meet-in-the-middle kernel only visits about its square root.
+    ``workers`` is accepted and does not change the result.
     """
-    pair = _as_pair(pair)
-    _check_budget(pair.support_sizes.tolist(), budget_log2)
-    return _exact_tv(_unpadded(pair.p_masses, pair.support_sizes),
-                     _unpadded(pair.q_masses, pair.support_sizes))
+    return _exact_pair_tv(_as_pair(pair), budget_log2)
 
 
 # Tail mass the window may drop: exp(-40) = 4.2e-18 each, far below the kernel's bound.
@@ -501,6 +523,15 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     P holds at least 1 - 2 exp(-L) of its mass where Q holds at most 2 exp(-L),
     so TV >= 1 - 4 exp(-L) and 1.0 is returned without building rows.
 
+    Otherwise the window's W = hi - lo + 1 counts are what the kernel
+    enumerates, so W takes the budget rule of every exact entry
+    (``_check_budget``) at the default 2**DEFAULT_BUDGET_LOG2, and a larger
+    window raises EnumerationBudgetError, naming n, before any row is built.
+    The rows and the kernel hold about 96 bytes per count (a tracemalloc peak
+    of 24 MiB at W = 2**18, n = 8.5e8 for the gap pair, and linear in W), so
+    a window at the budget, 2**26 counts (the gap pair near n = 5.6e13, past
+    which it is refused), would take about 6 GiB.
+
     With W counts in the window and L = _WINDOW_NATS = 40, |value - TV| is at
     most the sum of
     - the kernel's bound for one coordinate, (48 + 8 log2 W) 2**-53;
@@ -523,12 +554,16 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     """
     n = _positive_int(n, "n")
     for name, value in (("p", p), ("q", q)):
-        if not (0.0 <= value <= 1.0):
-            raise ValueError(f"{name} = {value!r} outside [0, 1]")
+        try:
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} = {value!r} outside [0, 1]")
+        except TypeError:  # None, a string or a list cannot be compared with 0.0
+            raise ValueError(f"{name} must be a real number, got {value!r}") from None
     p, q = float(p), float(q)
     (lo_p, hi_p), (lo_q, hi_q) = _bernstein_window(n, p, p), _bernstein_window(n, q, q)
     if hi_p < lo_q or hi_q < lo_p:
         return 1.0
+    _check_budget([max(hi_p, hi_q) - min(lo_p, lo_q) + 1], None, n)
     pmf_p, pmf_q = _binomial_rows(n, p, q)
     return _exact_tv([pmf_p / pmf_p.sum()], [pmf_q / pmf_q.sum()])
 

@@ -125,7 +125,9 @@ def gap_ratio_exact(n: int) -> float:
     """Exact TV ratio of the two gap pairs, TV(p, q) / TV(p', q'): tv_pq of
     ``_gap_scalars`` (-expm1(n log1p(-1/n)), within 4 * 2**-53, relatively)
     over ``exact_tv_equal_marginals`` of the symmetric pair, the one kernel
-    call. Both serve any n."""
+    call. The symmetric pair's window holds about 9 sqrt(n) counts, which
+    must fit the default enumeration budget: past n near 5.6e13 the call
+    raises EnumerationBudgetError before any row is built."""
     n = _positive_int(n, "n")
     return _gap_scalars(n)[0] / exact_tv_equal_marginals(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n)
 

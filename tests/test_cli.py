@@ -378,6 +378,33 @@ class TestGapCommand:
         assert keys == list(columns) * 2
 
 
+class TestSizeLimits:
+    """A closed-form window past the budget exits 3, and a size past the float
+    range exits 4, each with one error line and nothing on stdout."""
+
+    def test_sweep_window_past_budget(self, capsys, monkeypatch):
+        rows = prodtv.core._binomial_rows
+
+        def small_rows_only(n, p, q):
+            assert n <= 4, "rows built past the budget"
+            return rows(n, p, q)
+
+        monkeypatch.setattr(prodtv.core, "_binomial_rows", small_rows_only)
+        n = 10 ** 20
+        code, out, err = run(capsys, ["sweep", "--n", str(n)])
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == f"error: joint support exceeds the 2^26 enumeration budget (n = {n})\n"
+        # A row within the budget comes first, but nothing is printed.
+        code, out, _ = run(capsys, ["sweep", "--n-range", f"4,{n}"])
+        assert (code, out) == (EXIT_BUDGET, "")
+
+    @pytest.mark.parametrize("command", ["gap", "sweep"])
+    def test_size_past_float_range(self, capsys, command):
+        code, out, err = run(capsys, [command, "--n", "1" + "0" * 309])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSweepCommand:
     def test_single_row(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--n", "1"])
@@ -750,11 +777,27 @@ class TestExactBracketCheck:
 
     def test_exact_below_best_lower_is_domain_error(self, tmp_path, monkeypatch, capsys):
         path = write_instance(tmp_path, {"p": [0.9, 0.3], "q": [0.2, 0.8]})
-        monkeypatch.setattr(cli, "exact_tv_bernoulli", lambda *args, **kwargs: 0.0)
+        monkeypatch.setattr(cli, "exact_tv_general", lambda *args, **kwargs: 0.0)
         code, out, err = run(capsys, ["bounds", path, "--exact"])
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err.startswith("error: exact TV 0.0 lies below best_lower 0.")
         assert err.endswith("the bracket is violated\n")
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["bounds", "--exact"], 1), (["exact"], 1), (["reduce"], 1), (["bounds"], 1),
+        (["mc", "--samples", "10"], 0), (["symmetrize"], 0)])
+    def test_pair_built_at_most_once(self, tmp_path, monkeypatch, capsys, argv, builds):
+        calls = []
+        build = prodtv.FiniteProductPair.from_bernoulli.__func__
+
+        def counted(cls, p, q):
+            calls.append(1)
+            return build(cls, p, q)
+
+        monkeypatch.setattr(prodtv.FiniteProductPair, "from_bernoulli", classmethod(counted))
+        path = write_instance(tmp_path, {"p": [0.9, 0.3], "q": [0.2, 0.8]})
+        code, _, _ = run(capsys, [argv[0], path, *argv[1:]])
+        assert (code, len(calls)) == (0, builds)
 
     def test_bounds_alone_still_report(self, tmp_path, capsys):
         path, _, _ = self.near_identical(tmp_path)

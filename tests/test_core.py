@@ -133,9 +133,7 @@ class TestExactGeneral:
         for _ in range(200):
             p, q = random_bernoulli_pair(rng, 12)
             pair = tv.FiniteProductPair.from_bernoulli(p, q)
-            assert tv.exact_tv_general(pair) == pytest.approx(
-                tv.exact_tv_bernoulli(p, q), abs=1e-12
-            )
+            assert tv.exact_tv_general(pair) == tv.exact_tv_bernoulli(p, q)
 
     def test_worker_count_does_not_change_bits(self):
         rng = np.random.default_rng(107)
@@ -187,6 +185,57 @@ class TestBudgetRule:
                                     [[0.5, 0.3, 0.2]] * len(sizes))
         with pytest.raises(tv.EnumerationBudgetError):
             tv.exact_tv_general(pair)
+
+
+class TestClosedFormBudget:
+    """The closed form's window W takes the same rule at the default budget,
+    after the disjoint-reach shortcut and before any row is built."""
+
+    @pytest.fixture
+    def no_rows(self, monkeypatch):
+        monkeypatch.setattr(tv.core, "_binomial_rows",
+                            lambda *args: pytest.fail("rows built"))
+
+    def test_refusal_names_the_callers_n(self, no_rows):
+        n = 10 ** 20
+        message = f"joint support exceeds the 2^26 enumeration budget (n = {n})"
+        with pytest.raises(tv.EnumerationBudgetError) as info:
+            tv.gap_ratio_exact(n)
+        assert str(info.value) == message
+        with pytest.raises(tv.EnumerationBudgetError) as info:
+            tv.exact_tv_equal_marginals(n, 0.3, 0.3)
+        assert str(info.value) == message
+
+    def test_disjoint_reaches_past_the_cap_return_one(self, no_rows):
+        n = 10 ** 12
+        lo, hi = tv.core._bernstein_window(n, 0.3, 0.31)
+        assert hi - lo + 1 > 9 * 10 ** 9  # the hull holds about 10**10 counts
+        assert tv.exact_tv_equal_marginals(n, 0.3, 0.31) == 1.0
+
+    def test_window_checked_is_the_rows_window(self, monkeypatch):
+        """The window the rule is given is the hull _binomial_rows fills."""
+        seen = []
+        monkeypatch.setattr(tv.core, "_check_budget", lambda sizes, *args: seen.append(sizes))
+        rng = np.random.default_rng(114)
+        for n, p, q in [(1, 0.5, 0.5), (50, 0.0, 1.0 / 50), (10 ** 6, 0.3, 0.3001)] + [
+                (int(rng.integers(1, 10 ** 6)), *rng.random(2).tolist()) for _ in range(40)]:
+            if reaches_overlap(n, p, q):
+                seen.clear()
+                tv.exact_tv_equal_marginals(n, p, q)
+                lo, hi = tv.core._bernstein_window(n, p, q)
+                assert seen == [[hi - lo + 1]], (n, p, q)
+
+    def test_window_at_the_budget_runs(self, monkeypatch):
+        """A window of 2**k counts passes a budget of k and fails one of k - 1."""
+        n, p = 10 ** 6, 0.3
+        lo, hi = tv.core._bernstein_window(n, p, p)
+        size = hi - lo + 1
+        k = (size - 1).bit_length()
+        monkeypatch.setattr(tv.core, "DEFAULT_BUDGET_LOG2", k)
+        assert tv.exact_tv_equal_marginals(n, p, p) == 0.0
+        monkeypatch.setattr(tv.core, "DEFAULT_BUDGET_LOG2", k - 1)
+        with pytest.raises(tv.EnumerationBudgetError, match=rf"\(n = {n}\)$"):
+            tv.exact_tv_equal_marginals(n, p, p)
 
 
 def exact_error_bound(n, joint_support):
@@ -638,6 +687,16 @@ class TestArgumentChecks:
          "samples must be a positive integer, got 0"),
         (lambda: tv.exact_tv_equal_marginals(3, 1.5, 0.5), "p = 1.5 outside [0, 1]"),
         (lambda: tv.exact_tv_equal_marginals(3, 0.5, -0.1), "q = -0.1 outside [0, 1]"),
+        (lambda: tv.exact_tv_equal_marginals(3, None, 0.5), "p must be a real number, got None"),
+        (lambda: tv.exact_tv_equal_marginals(3, "0.5", 0.5),
+         "p must be a real number, got '0.5'"),
+        (lambda: tv.exact_tv_equal_marginals(3, [0.5], 0.5),
+         "p must be a real number, got [0.5]"),
+        (lambda: tv.exact_tv_equal_marginals(3, 0.5, None), "q must be a real number, got None"),
+        (lambda: tv.exact_tv_equal_marginals(3, 0.5, "0.5"),
+         "q must be a real number, got '0.5'"),
+        (lambda: tv.exact_tv_equal_marginals(3, 0.5, [0.5]),
+         "q must be a real number, got [0.5]"),
         (lambda: tv.ProbVector([0.5, 1.2]), f"params[1] = {np.float64(1.2)!r} outside [0, 1]"),
         (lambda: tv.ProbVector([-0.1]), f"params[0] = {np.float64(-0.1)!r} outside [0, 1]"),
         (lambda: tv.ProbVector([0.5, float("nan")]), "params contains non-finite entries"),
@@ -862,6 +921,39 @@ class TestArrayForm:
         with pytest.raises(tv.InvalidDistributionError,
                            match=r"^a product pair needs at least one coordinate$"):
             tv.FiniteProductPair([], [])
+
+    EDGE_PARAMS = [0.0, -0.0, 1.0, 5e-324, 1e-300, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.5,
+                   np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                   -1e-12, 1.0 + 1e-12, -5e-13, 1.0 + 5e-13]  # the last four are clipped
+
+    @staticmethod
+    def assert_same_arrays(built, validated):
+        for name in ("p_masses", "q_masses", "support_sizes"):
+            a, b = getattr(built, name), getattr(validated, name)
+            assert (a.dtype, a.shape, a.flags.writeable, a.flags.c_contiguous) == (
+                b.dtype, b.shape, b.flags.writeable, b.flags.c_contiguous), name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_from_bernoulli_equals_validated_rows(self):
+        """from_bernoulli skips the row validation; its arrays are what the
+        constructor makes of the same rows, byte for byte."""
+        rng = np.random.default_rng(122)
+        edge = np.array(self.EDGE_PARAMS)
+        cases = [(edge, edge[::-1].copy()), (edge, rng.permutation(edge))]
+        cases += [(rng.random(n), rng.random(n)) for n in (1, 2, 7, 1000)]
+        cases += [(rng.choice(edge, 50), rng.random(50) ** 40) for _ in range(20)]
+        for p, q in cases:
+            pa, qa = tv.ProbVector(p).params, tv.ProbVector(q).params
+            validated = tv.FiniteProductPair(np.stack((1.0 - pa, pa), axis=1),
+                                             np.stack((1.0 - qa, qa), axis=1))
+            self.assert_same_arrays(tv.FiniteProductPair.from_bernoulli(p, q), validated)
+
+    def test_complement_sums_to_one(self):
+        """The rounding argument of from_bernoulli, on edge and random x."""
+        rng = np.random.default_rng(123)
+        x = np.concatenate([tv.ProbVector(self.EDGE_PARAMS).params, rng.random(10 ** 5),
+                            rng.random(10 ** 4) * 2.0 ** -60, 1.0 - rng.random(10 ** 4) * 2.0 ** -40])
+        assert np.all((1.0 - x) + x == 1.0)
 
     def test_joint_support_beyond_int64(self):
         # An int64 product of 64 twos wraps to 0, which would pass any budget.

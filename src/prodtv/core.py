@@ -7,6 +7,11 @@ the sorted run of partners whose joint P-mass exceeds its Q-mass. A joint
 support of N outcomes costs O(sqrt(N) log N) time and O(sqrt(N)) memory
 instead of O(N). The enumeration budget still caps N itself, and no result
 depends on a worker count.
+
+Large halves are ordered by one numpy sort of unique int64 keys, so no order
+depends on numpy's sort algorithm or CPU dispatch. The sorted half's order is
+checked to be the stable argsort's, which fixes how its suffix sums round;
+the searched half may take any order, since its terms are added in its own.
 """
 
 from __future__ import annotations
@@ -326,10 +331,19 @@ def _matched_params(p, q) -> tuple:
 
 
 def _positive_int(value, name: str) -> int:
-    """An int (or numpy integer) of at least 1 as a Python int; ValueError otherwise."""
+    """An int (or numpy integer) of at least 1 as a Python int; ValueError
+    otherwise, also for one that no float holds (from about 2**1024 on), which
+    the closed forms would meet as a bare OverflowError. That message gives
+    the bit length: such an int has hundreds of digits."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is past the float range (about 2**1024), "
+                         f"got an integer of {value.bit_length()} bits") from None
+    return value
 
 
 def _check_budget(sizes, budget_log2: int | None, n: int | None = None) -> None:
@@ -397,6 +411,64 @@ def _half(p_rows, q_rows) -> tuple:
     return mass_p[kept], mass_q[kept]
 
 
+# Halves of at most this many outcomes are ordered by np.argsort: below it the
+# keys' extra passes cost more than the integer sort saves.
+_ARGSORT_MAX = 1 << 10
+_MAGNITUDE_BITS = 0x7FFF_FFFF_FFFF_FFFF
+
+
+def _keyed_order(values: np.ndarray) -> np.ndarray:
+    """A permutation that sorts the float64 ``values`` ascending, up to their
+    low b = bit_length(size - 1) bits, found by one int64 sort.
+
+    A double's bits read as an int64, with the 63 magnitude bits flipped when
+    the sign bit is set, ascend with its value (-0.0 sorts just below 0.0).
+    The low b bits of each key are replaced by the value's index, so the keys
+    are unique: their sorted order is the same whatever algorithm or CPU
+    dispatch numpy's sort uses, and masking it gives the permutation. Values
+    that agree in all but their low b bits, ties included, come out in index
+    order, so two that differ only there may come out of order.
+
+    This is the order in which half A's thresholds are searched: the index
+    found for a threshold depends only on that threshold and the terms are
+    added in block order, so any order gives the same bits, and a nearly
+    ascending one lets each search start where the last one ended.
+    """
+    bits = values.view(np.int64)
+    mask = (1 << (values.size - 1).bit_length()) - 1
+    keys = bits >> 63
+    keys &= _MAGNITUDE_BITS
+    keys ^= bits
+    keys &= ~mask
+    keys |= np.arange(values.size)
+    keys.sort()
+    keys &= mask
+    return keys
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, element for element.
+
+    A half of at most _ARGSORT_MAX outcomes takes that call. A non-decreasing
+    one, such as the closed form's binomial rows, takes the identity. Any
+    other takes ``_keyed_order`` when one check proves it stable: each
+    adjacent pair of the sorted values is strictly ascending, or equal with
+    ascending index. Then the permutation sorts by (value, index), which
+    defines the stable order uniquely. The check fails on values the keys
+    cannot tell apart and on NaN, which fall back to the stable argsort.
+    """
+    if values.size <= _ARGSORT_MAX:
+        return np.argsort(values, kind="stable")
+    if (values[1:] >= values[:-1]).all():
+        return np.arange(values.size)
+    order = _keyed_order(values)
+    ordered = values[order]
+    if ((ordered[1:] > ordered[:-1])
+            | ((ordered[1:] == ordered[:-1]) & (order[1:] > order[:-1]))).all():
+        return order
+    return np.argsort(values, kind="stable")
+
+
 def _exact_tv(p_rows, q_rows) -> float:
     """Exact TV of two product distributions given by per-coordinate mass rows.
 
@@ -405,11 +477,15 @@ def _exact_tv(p_rows, q_rows) -> float:
     are cut into halves A and B whose support sizes balance in log2; B is
     sorted by its log-likelihood ratio with suffix sums of P_b and Q_b, and a
     binary search of each outcome a's threshold gives its term
-    P_a sum P_b - Q_a sum Q_b. A's thresholds are searched in ascending order,
-    so that each search starts where the last one ended and its branches
-    predict well, and the indices are scattered back. An index depends only
-    on its own threshold and the terms are added in A's block order, so the
-    result is bit for bit that of searching in block order.
+    P_a sum P_b - Q_a sum Q_b.
+
+    B's order is ``_stable_order``, the stable argsort's element for element,
+    so the suffix sums keep their bits. A's thresholds are searched in the
+    nearly ascending ``_keyed_order`` (``np.argsort`` on halves of at most
+    _ARGSORT_MAX outcomes), so that each search starts where the last one
+    ended and its branches predict well, and the indices are scattered back.
+    An index depends only on its own threshold and the terms are added in A's
+    block order, so the result is bit for bit that of searching in block order.
 
     Against the exact TV of the float masses it receives (Bernoulli rows taken
     as the exact complements 1 - p, p), the absolute error is at most
@@ -424,11 +500,11 @@ def _exact_tv(p_rows, q_rows) -> float:
     with np.errstate(divide="ignore"):
         ratio_b = np.log(mass_pb) - np.log(mass_qb)
         threshold_a = np.log(mass_qa) - np.log(mass_pa)
-    order = np.argsort(ratio_b, kind="stable")
+    order = _stable_order(ratio_b)
     tail_p = np.append(_scan(mass_pb[order][::-1])[::-1], 0.0)
     tail_q = np.append(_scan(mass_qb[order][::-1])[::-1], 0.0)
-    # Any order of A's tied thresholds gives them the same index.
-    order_a = np.argsort(threshold_a)
+    order_a = (np.argsort(threshold_a) if threshold_a.size <= _ARGSORT_MAX
+               else _keyed_order(threshold_a))
     first = np.empty_like(order_a)
     first[order_a] = np.searchsorted(ratio_b[order], threshold_a[order_a], side="right")
     terms = np.maximum(0.0, mass_pa * tail_p[first] - mass_qa * tail_q[first])

@@ -22,7 +22,7 @@ from prodtv.bounds import (
     symmetric_l2_upper_bound,
     trivial_bracket,
 )
-from prodtv.core import _MC_BATCH, _WINDOW_NATS, _bernstein_window, _half
+from prodtv.core import _MC_BATCH, _WINDOW_NATS, _bernstein_window
 
 
 def tv_bernoulli_brute(p, q):
@@ -322,12 +322,30 @@ def scan_reference(values):
     return out
 
 
+def half_reference(p_rows, q_rows):
+    """A half's joint masses in mixed-radix order, the last coordinate the most
+    significant digit, each outcome's product taken first coordinate first
+    (m_k (... (m_2 m_1))); outcomes null on both sides are dropped. Each
+    outcome is gathered from its digits rather than built up block by block."""
+    shape = [len(row) for row in reversed(p_rows)]
+    size = math.prod(shape)
+    digits = np.unravel_index(np.arange(size), shape)[::-1] if shape else ()
+    mass_p, mass_q = np.ones(size), np.ones(size)
+    for p_row, q_row, state in zip(p_rows, q_rows, digits):
+        mass_p = np.asarray(p_row)[state] * mass_p
+        mass_q = np.asarray(q_row)[state] * mass_q
+    kept = (mass_p > 0.0) | (mass_q > 0.0)
+    return mass_p[kept], mass_q[kept]
+
+
 def exact_kernel_reference(p_rows, q_rows):
-    """The meet-in-the-middle kernel with its total read off the full scan."""
+    """The meet-in-the-middle kernel with its own halves, half B ordered by the
+    stable argsort, half A searched in block order, and the total read off
+    the full scan."""
     log_sizes = np.concatenate(([0.0], np.cumsum([math.log2(len(r)) for r in p_rows])))
     split = int(np.argmin(np.abs(2.0 * log_sizes - log_sizes[-1])))
-    mass_pa, mass_qa = _half(p_rows[:split], q_rows[:split])
-    mass_pb, mass_qb = _half(p_rows[split:], q_rows[split:])
+    mass_pa, mass_qa = half_reference(p_rows[:split], q_rows[:split])
+    mass_pb, mass_qb = half_reference(p_rows[split:], q_rows[split:])
     with np.errstate(divide="ignore"):
         ratio_b = np.log(mass_pb) - np.log(mass_qb)
         threshold_a = np.log(mass_qa) - np.log(mass_pa)

@@ -666,10 +666,92 @@ class TestScanTotal:
         # and pairs whose half-outcomes tie in ratio.
         pairs = [(rng.random(n), rng.random(n)) for n in range(20, 25)]
         pairs += [self.tie_heavy_pair(rng, int(rng.integers(1, 25))) for _ in range(60)]
+        # Halves of 2**13 outcomes (n = 26), where both take the keyed order,
+        # and pairs with seven q_i in {0, 1}, whose half B ties at +inf.
+        pairs += [(rng.random(26), rng.random(26)) for _ in range(3)]
+        for _ in range(3):
+            pa, qa = rng.random(26), rng.random(26)
+            qa[rng.choice(26, 7, replace=False)] = rng.integers(0, 2, 7)
+            pairs.append((pa, qa))
         for pa, qa in pairs:
             rows = (np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
             assert (tv.core._exact_tv(*rows).hex()
                     == exact_kernel_reference(*rows).hex()), (pa, qa)
+
+
+def _order_cases():
+    """(values, branch of _stable_order) pairs over the three branches for
+    large halves and the argsort of small ones."""
+    rng = np.random.default_rng(404)
+    size = 1 << 13
+    base = rng.random(size // 2)
+    # Neighbours that agree in all but the last bit, the larger one first.
+    low_bits = np.empty(size)
+    low_bits[0::2] = np.nextafter(base, np.inf)
+    low_bits[1::2] = base
+    with_nan = rng.normal(size=size)
+    with_nan[rng.choice(size, 9, replace=False)] = np.nan
+    ascending = np.sort(rng.normal(size=size) * 1e3)
+    return {
+        "exact ties": (rng.choice(rng.normal(size=5), size), "keyed"),
+        "infinite ties": (rng.choice([-np.inf, np.inf, -2.5, 0.0, 7.0], size), "keyed"),
+        "random 2**13": (rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size), "keyed"),
+        "reversed": (ascending[::-1].copy(), "keyed"),
+        "just past argsort": (rng.random(1025), "keyed"),
+        "dropped low bits differ": (low_bits, "fallback"),
+        "signed zeros": (rng.choice([0.0, -0.0, 1.0], size), "fallback"),
+        "nan": (with_nan, "fallback"),
+        "sorted": (ascending, "identity"),
+        "sorted with ties": (np.sort(rng.choice([-np.inf, 0.0, 1.5, np.inf], size)), "identity"),
+        "length 1": (np.array([0.3]), "argsort"),
+        "length 1024": (rng.random(1024), "argsort"),
+    }
+
+
+ORDER_CASES = _order_cases()
+
+
+class TestKernelOrder:
+    """Half B's order equals np.argsort(kind="stable") element for element
+    whichever branch of _stable_order gives it, and each branch is taken."""
+
+    @staticmethod
+    def stable_order_branch(monkeypatch, values):
+        """_stable_order(values), and the branch it took."""
+        calls = []
+        keyed, argsort = tv.core._keyed_order, np.argsort
+        with monkeypatch.context() as patch:
+            patch.setattr(tv.core, "_keyed_order",
+                          lambda *args: calls.append("keyed") or keyed(*args))
+            patch.setattr(np, "argsort",
+                          lambda *args, **kwargs: calls.append("argsort") or argsort(*args, **kwargs))
+            order = tv.core._stable_order(values)
+        branches = {(): "identity", ("keyed",): "keyed",
+                    ("keyed", "argsort"): "fallback", ("argsort",): "argsort"}
+        return order, branches[tuple(calls)]
+
+    @pytest.mark.parametrize("case", ORDER_CASES)
+    def test_equals_stable_argsort(self, monkeypatch, case):
+        values, branch = ORDER_CASES[case]
+        want = np.argsort(values, kind="stable")
+        order, taken = self.stable_order_branch(monkeypatch, values)
+        assert taken == branch
+        assert order.dtype == want.dtype and np.array_equal(order, want)
+
+    def test_every_branch_taken(self):
+        assert {branch for _, branch in ORDER_CASES.values()} == {
+            "identity", "keyed", "fallback", "argsort"}
+
+    @pytest.mark.parametrize("case", ORDER_CASES)
+    def test_keyed_order(self, case):
+        """Half A's search order is a permutation, and the stable argsort's
+        unless two values differ only in the keys' dropped low bits or are
+        zeros of both signs (-0.0 sorts below 0.0)."""
+        values, _ = ORDER_CASES[case]
+        order = tv.core._keyed_order(values)
+        assert np.array_equal(np.sort(order), np.arange(values.size))
+        if case not in ("dropped low bits differ", "signed zeros"):
+            assert np.array_equal(order, np.argsort(values, kind="stable"))
 
 
 class TestArgumentChecks:
@@ -728,6 +810,26 @@ class TestArgumentChecks:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("call", [
+        lambda n: tv.exact_tv_equal_marginals(n, 0.5, 0.5),
+        tv.gap_ratio_exact,
+        tv.gap_instance,
+    ], ids=["exact_tv_equal_marginals", "gap_ratio_exact", "gap_instance"])
+    @pytest.mark.parametrize("n", [2 ** 1024, 10 ** 309, 2 ** 1024 - 2 ** 970, 2 ** 5000],
+                             ids=["2**1024", "10**309", "2**1024-2**970", "2**5000"])
+    def test_size_past_float_range(self, call, n):
+        """No float holds n (2**1024 - 2**970 rounds up to 2**1024), so each
+        entry refuses it with a ValueError naming n, not an OverflowError."""
+        with pytest.raises(ValueError) as info:
+            call(n)
+        assert str(info.value) == ("n is past the float range (about 2**1024), "
+                                   f"got an integer of {n.bit_length()} bits")
+
+    def test_largest_size_in_float_range_accepted(self):
+        n = 2 ** 1024 - 2 ** 970 - 1  # rounds down to the largest double
+        assert tv.core._positive_int(n, "n") == n
+        assert float(n) == np.finfo(np.float64).max
 
     @pytest.mark.parametrize("budget", [2.9, float("inf"), float("nan"), True, "3"])
     def test_budget_must_be_an_integer(self, budget):

@@ -11,7 +11,8 @@ use shortest round-trip formatting, so identical invocations produce
 byte-identical output. Exit codes: 0 success, 2 parse/validation error,
 3 enumeration budget exceeded (or a closed-form window past it), 4
 numeric-domain error (including an exact TV that ``bounds --exact`` finds
-outside its own bracket, and a size past the float range).
+outside its own bracket, a size past the float range, and a closed-form
+window past 2**53, where doubles no longer hold every count).
 """
 
 from __future__ import annotations

@@ -487,6 +487,19 @@ def _exact_tv(p_rows, q_rows) -> float:
     An index depends only on its own threshold and the terms are added in A's
     block order, so the result is bit for bit that of searching in block order.
 
+    A one-outcome half A (the closed form's one coordinate, where split is 0)
+    reads one index of each suffix sum, so it takes just those two sums, by
+    ``_scan_total`` over B's sorted outcomes from that index, reversed, in
+    O(|B|) time and without the scans. The scan's value at an index is the
+    right-aligned pairwise tree over the values up to it, which is what
+    ``_scan_total`` adds: the same additions, except that the scan skips an
+    addition of 0.0 where the tree makes it, which can change only the sign
+    of a zero sum. The suffix holds only outcomes whose log ratio passes the
+    threshold, so P_b > 0 there and a suffix that is not empty has a positive
+    P-sum. The product P_a sum P_b is then never -0.0, subtracting a zero
+    Q-product of either sign from it gives the same bits, and the result is
+    the general path's, bit for bit.
+
     Against the exact TV of the float masses it receives (Bernoulli rows taken
     as the exact complements 1 - p, p), the absolute error is at most
     (16 n + 8 log2 N + 32) * 2**-53 for n coordinates and joint support N:
@@ -501,6 +514,12 @@ def _exact_tv(p_rows, q_rows) -> float:
         ratio_b = np.log(mass_pb) - np.log(mass_qb)
         threshold_a = np.log(mass_qa) - np.log(mass_pa)
     order = _stable_order(ratio_b)
+    if threshold_a.size == 1:
+        first = int(np.searchsorted(ratio_b[order], threshold_a[0], side="right"))
+        suffix = order[first:][::-1]
+        term = (mass_pa[0] * _scan_total(mass_pb[suffix])
+                - mass_qa[0] * _scan_total(mass_qb[suffix]))
+        return min(1.0, float(max(0.0, term)))
     tail_p = np.append(_scan(mass_pb[order][::-1])[::-1], 0.0)
     tail_q = np.append(_scan(mass_qb[order][::-1])[::-1], 0.0)
     order_a = (np.argsort(threshold_a) if threshold_a.size <= _ARGSORT_MAX
@@ -554,13 +573,18 @@ def _bernstein_window(n: int, p: float, q: float) -> tuple:
     inequality, P(K >= n prob + t) and P(K <= n prob - t) are each at most
     exp(-L) for t = L/3 + sqrt(L**2/9 + 2 L n prob (1 - prob)). The window is
     the hull of both sides' reaches, cut to [0, n]; with p == q it is one
-    side's reach."""
+    side's reach. A reach that overflows a double (n past about 2e306)
+    raises ValueError naming n."""
     ends = []
     for prob in (p, q):
         reach = _WINDOW_NATS / 3.0 + math.sqrt(
             _WINDOW_NATS ** 2 / 9.0 + 2.0 * _WINDOW_NATS * n * prob * (1.0 - prob))
+        if not reach < math.inf:  # inf, or NaN where an infinite 2 L n meets prob = 0
+            raise ValueError(f"n = {n} is too large for the closed form: "
+                             "the binomial window's reach overflows a double")
         ends += [n * prob - reach, n * prob + reach]
-    return max(0, math.floor(min(ends))), min(n, math.ceil(max(ends)))
+    # Past 2**53 the float n * prob may exceed n; lo is cut to n as well.
+    return min(n, max(0, math.floor(min(ends)))), min(n, math.ceil(max(ends)))
 
 
 def _binomial_rows(n: int, p: float, q: float) -> tuple:
@@ -603,10 +627,14 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     enumerates, so W takes the budget rule of every exact entry
     (``_check_budget``) at the default 2**DEFAULT_BUDGET_LOG2, and a larger
     window raises EnumerationBudgetError, naming n, before any row is built.
-    The rows and the kernel hold about 96 bytes per count (a tracemalloc peak
-    of 24 MiB at W = 2**18, n = 8.5e8 for the gap pair, and linear in W), so
-    a window at the budget, 2**26 counts (the gap pair near n = 5.6e13, past
-    which it is refused), would take about 6 GiB.
+    A window within the budget that reaches count 2**53, where doubles stop
+    holding every count, raises ValueError naming n. The gap pair meets it
+    past about n = 10**34, where its window, about 9 sqrt(n) counts wide,
+    rounds to one count. A reach that overflows a double (n past about
+    2e306) raises ValueError too. The rows and the kernel hold about 75 bytes per count (a
+    tracemalloc peak of 18.4 MiB at W = 2**18, n = 8.5e8 for the gap pair,
+    and linear in W), so a window at the budget, 2**26 counts (the gap pair
+    near n = 5.6e13, past which it is refused), would take about 5 GiB.
 
     With W counts in the window and L = _WINDOW_NATS = 40, |value - TV| is at
     most the sum of
@@ -640,6 +668,9 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     if hi_p < lo_q or hi_q < lo_p:
         return 1.0
     _check_budget([max(hi_p, hi_q) - min(lo_p, lo_q) + 1], None, n)
+    if max(hi_p, hi_q) >= 1 << 53:
+        raise ValueError(f"n = {n} is too large for the closed form: its window reaches "
+                         "count 2**53, past which a double does not hold every count")
     pmf_p, pmf_q = _binomial_rows(n, p, q)
     return _exact_tv([pmf_p / pmf_p.sum()], [pmf_q / pmf_q.sum()])
 

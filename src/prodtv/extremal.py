@@ -127,7 +127,9 @@ def gap_ratio_exact(n: int) -> float:
     over ``exact_tv_equal_marginals`` of the symmetric pair, the one kernel
     call. The symmetric pair's window holds about 9 sqrt(n) counts, which
     must fit the default enumeration budget: past n near 5.6e13 the call
-    raises EnumerationBudgetError before any row is built."""
+    raises EnumerationBudgetError before any row is built. Past about 10**34
+    the window rounds to one count past 2**53, and the call raises
+    ValueError naming n (the pair's parameters are one double from 2**54)."""
     n = _positive_int(n, "n")
     return _gap_scalars(n)[0] / exact_tv_equal_marginals(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n)
 

@@ -379,8 +379,9 @@ class TestGapCommand:
 
 
 class TestSizeLimits:
-    """A closed-form window past the budget exits 3, and a size past the float
-    range exits 4, each with one error line and nothing on stdout."""
+    """A closed-form window past the budget exits 3, and a window past 2**53 or
+    a size past the float range exits 4, each with one error line and nothing
+    on stdout."""
 
     def test_sweep_window_past_budget(self, capsys, monkeypatch):
         rows = prodtv.core._binomial_rows
@@ -397,6 +398,15 @@ class TestSizeLimits:
         # A row within the budget comes first, but nothing is printed.
         code, out, _ = run(capsys, ["sweep", "--n-range", f"4,{n}"])
         assert (code, out) == (EXIT_BUDGET, "")
+
+    def test_sweep_window_past_2_53(self, capsys):
+        """Past about 10**34 the gap pair's window rounds to one count past
+        2**53; the sweep exits 4 where it once divided by a zero TV."""
+        n = 10 ** 40
+        code, out, err = run(capsys, ["sweep", "--n", str(n)])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith(f"error: n = {n} is too large for the closed form: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["gap", "sweep"])
     def test_size_past_float_range(self, capsys, command):

@@ -189,7 +189,8 @@ class TestBudgetRule:
 
 class TestClosedFormBudget:
     """The closed form's window W takes the same rule at the default budget,
-    after the disjoint-reach shortcut and before any row is built."""
+    after the disjoint-reach shortcut and before any row is built. A window
+    that doubles cannot hold, within the budget, raises ValueError naming n."""
 
     @pytest.fixture
     def no_rows(self, monkeypatch):
@@ -205,6 +206,40 @@ class TestClosedFormBudget:
         with pytest.raises(tv.EnumerationBudgetError) as info:
             tv.exact_tv_equal_marginals(n, 0.3, 0.3)
         assert str(info.value) == message
+
+    def test_gap_window_of_one_count_past_2_53(self, no_rows):
+        """Past about 10**34 the gap pair's window rounds to one count (its
+        parameters are one double from 2**54); that count is past 2**53."""
+        n = 10 ** 36
+        p, q = 0.5 + 0.5 / n, 0.5 - 0.5 / n
+        lo, hi = tv.core._bernstein_window(n, p, q)
+        assert p == q and lo == hi >= 2 ** 53
+        with pytest.raises(ValueError, match=rf"^n = {n} is too large for the closed form: "
+                                             "its window reaches count 2\\*\\*53"):
+            tv.gap_ratio_exact(n)
+
+    @pytest.mark.parametrize("p, q", [(0.5, 0.5), (0.0, 0.5)])  # a reach of inf, or NaN
+    def test_reach_overflow_names_n(self, no_rows, p, q):
+        n = 10 ** 308
+        with pytest.raises(ValueError, match=rf"^n = {n} is too large for the closed form: "
+                                             "the binomial window's reach overflows a double$"):
+            tv.exact_tv_equal_marginals(n, p, q)
+
+    def test_gap_reach_overflow_names_n(self, no_rows):
+        n = 10 ** 308
+        with pytest.raises(ValueError, match=rf"^n = {n} is too large for the closed form"):
+            tv.gap_ratio_exact(n)
+
+    def test_window_end_past_n_is_cut(self, no_rows):
+        """Past 2**53 the float n * p may exceed n. p = q = 1 at n = 10**36 once
+        gave two windows above [n, n] and so 1.0 for identical sides; now both
+        are [n, n], and the count past 2**53 raises. Disjoint sides still
+        give 1.0."""
+        n = 10 ** 36
+        assert tv.core._bernstein_window(n, 1.0, 1.0) == (n, n)
+        with pytest.raises(ValueError, match=rf"^n = {n} is too large"):
+            tv.exact_tv_equal_marginals(n, 1.0, 1.0)
+        assert tv.exact_tv_equal_marginals(n, 0.0, 1.0) == 1.0
 
     def test_disjoint_reaches_past_the_cap_return_one(self, no_rows):
         n = 10 ** 12
@@ -634,6 +669,15 @@ class TestScanTotal:
             assert (tv.core._scan_total(values).hex()
                     == float(scan_reference(values)[-1]).hex()), values
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 1023, 1024, 1025, 2 ** 13 - 1, 2 ** 13 + 1])
+    def test_every_prefix(self, size):
+        """Each prefix of the full scan is the total of the values up to it,
+        the sums a one-outcome half A reads."""
+        values = self.values(np.random.default_rng(405 + size), size)
+        scan = scan_reference(values)
+        for i in range(size):
+            assert tv.core._scan_total(values[:i + 1]).hex() == float(scan[i]).hex(), (size, i)
+
     @staticmethod
     def tie_heavy_pair(rng, n):
         """A Bernoulli pair whose half-outcomes share many ratios: parameters
@@ -677,6 +721,45 @@ class TestScanTotal:
             rows = (np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
             assert (tv.core._exact_tv(*rows).hex()
                     == exact_kernel_reference(*rows).hex()), (pa, qa)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 1024, 1025, 2 ** 13 + 1, 12619])
+    def test_one_coordinate_bit_identical(self, width):
+        """One coordinate leaves half A one outcome, which reads its two
+        suffix sums without the scans. Binomial rows cut to ``width`` counts
+        (12619 is the whole window) in ascending ratio order, p > q, and in
+        descending order, p < q, match the reference, whose scans are full."""
+        p_row, q_row = tv.core._binomial_rows(2 * 10 ** 6, 0.3, 0.2995)
+        start = (p_row.size - width) // 2
+        p_row, q_row = (row[start:start + width] / row[start:start + width].sum()
+                        for row in (p_row, q_row))
+        with np.errstate(divide="ignore"):
+            assert (np.diff(np.log(p_row) - np.log(q_row)) >= 0.0).all()  # the identity order
+        for rows in (([p_row], [q_row]), ([q_row], [p_row])):
+            assert tv.core._exact_tv(*rows).hex() == exact_kernel_reference(*rows).hex()
+
+    def test_one_coordinate_general_bit_identical(self):
+        """General one-coordinate rows with states null on both sides, on P's
+        side only (-inf ratios), on Q's side only (+inf ratios), and states of
+        equal masses, whose ratio 0 ties with the threshold."""
+        rng = np.random.default_rng(406)
+        for size in (1, 2, 3, 5, 64, 1024, 1025, 3000) * 8:
+            rows = rng.dirichlet(np.ones(size), 2) * rng.random((2, size)) ** 3
+            null = rng.random((2, size)) < rng.choice([0.0, 0.2, 0.6])
+            null[:, rng.integers(size)] = False  # each row keeps a state
+            rows[null] = 0.0
+            p_row, q_row = rows / rows.sum(axis=1, keepdims=True)
+            tied = rng.random(size) < rng.choice([0.0, 0.3])
+            q_row[tied] = p_row[tied]
+            assert (tv.core._exact_tv([p_row], [q_row]).hex()
+                    == exact_kernel_reference([p_row], [q_row]).hex()), (size, p_row, q_row)
+
+    def test_closed_form_runs_no_scan(self, monkeypatch):
+        """The closed form's kernel call takes the one-outcome path."""
+        monkeypatch.setattr(tv.core, "_scan", lambda *args: pytest.fail("full scan"))
+        for n in (1, 2, 7, 1000, 10 ** 6):
+            assert tv.gap_ratio_exact(n) >= 1.0
+            for p, q in [(1.0 / n, 0.0), (0.3, 0.3), (0.3, 0.31), (0.9, 0.1)]:
+                assert 0.0 <= tv.exact_tv_equal_marginals(n, p, q) <= 1.0
 
 
 def _order_cases():

@@ -5,14 +5,15 @@ universal constant 0.1798, half the squared Hellinger distance, and a
 KL-based bound. Upper bounds: the clipped l1 sum, the Hellinger upper arm,
 Pinsker, and (for symmetric Bernoulli pairs q = 1-p) the l2 norm of p - q and
 a Bhattacharyya-affinity bound. ``bounds_report`` assembles everything that
-applies to a given pair.
+applies to a given pair into a ``BoundsReport``, whose declared fields are
+the one table of bounds: the library's bound dicts, its choice of the best
+bounds and the ``prodtv bounds`` output all follow their order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -218,42 +219,35 @@ def _min_mass_products(pair: FiniteProductPair, states: np.ndarray) -> list:
     return np.multiply.reduce(minima, axis=1, initial=1.0).tolist()
 
 
-# What the bound families read: the marginal gaps, the pair on its active
-# coordinates and, when that part is symmetric, its reduced p as a ProbVector
-# (else None). Identical sides have no active coordinates: every family then
-# reads a pair with no coordinates and an empty p.
-_Inputs = namedtuple("_Inputs", "delta active symmetric_p")
+@dataclass(frozen=True)
+class BoundsReport:
+    """Every applicable TV bound for a product pair, plus the best aggregates.
 
+    Its fields lower_name and upper_name are the table of bounds: their
+    declared order is the order of ``lower_bounds()``, ``upper_bounds()`` and
+    the ``prodtv bounds`` output, and a tie for best_lower_source or
+    best_upper_source goes to the earliest. Optional fields are None when the
+    bound does not apply: lower_kl requires a finite KL divergence and a small
+    enough minimum mass, the symmetric upper bounds require the pair to reduce
+    to a two-point symmetric one.
+    """
 
-# The bound families of a report, in tie-breaking order: (name of its lower
-# bound, name of its upper bound, bracket). A bracket maps the inputs to
-# (lower, upper); a side the family does not bound is None, and so is a bound
-# that does not apply. On a pair with no coordinates (identical sides, TV 0)
-# the Hellinger bracket gives (0.0, 0.0), KL gives (None, 0.0) and both
-# symmetric bounds give 0.0.
-_FAMILIES = (
-    ("trivial", "trivial", lambda x: trivial_bracket(x.delta)),
-    ("l2", None, lambda x: (l2_lower_bound(x.delta), None)),
-    ("hellinger", "hellinger", lambda x: hellinger_bracket(x.active)),
-    ("kl", "pinsker", lambda x: kl_bracket(x.active)),
-    (None, "symmetric", lambda x: (None, None if x.symmetric_p is None
-                                   else symmetric_l2_upper_bound(x.symmetric_p))),
-    (None, "affinity", lambda x: (None, None if x.symmetric_p is None
-                                  else symmetric_affinity_upper_bound(x.symmetric_p))),
-)
-# The table of bounds as (side, name): a report's field side_name, lower
-# bounds first, each side in family order.
-_BOUNDS = tuple(("lower", low) for low, _, _ in _FAMILIES if low) + tuple(
-    ("upper", up) for _, up, _ in _FAMILIES if up)
+    delta: MarginalTV
+    reduction: ScheffeReduction
+    lower_trivial: float
+    lower_l2: float
+    lower_hellinger: float
+    lower_kl: float | None
+    upper_trivial: float
+    upper_hellinger: float
+    upper_pinsker: float
+    upper_symmetric: float | None
+    upper_affinity: float | None
+    best_lower: float
+    best_lower_source: str
+    best_upper: float
+    best_upper_source: str
 
-
-def _applicable(values: dict, side: str) -> dict:
-    """The bounds on one side that apply, by name, in table order."""
-    named = {name: values[f"{s}_{name}"] for s, name in _BOUNDS if s == side}
-    return {name: value for name, value in named.items() if value is not None}
-
-
-class _ReportMethods:
     @property
     def ratio(self) -> float | None:
         """best_upper / best_lower, or None when the lower bound is 0."""
@@ -266,22 +260,12 @@ class _ReportMethods:
         return _applicable(vars(self), "upper")
 
 
-BoundsReport = make_dataclass(
-    "BoundsReport",
-    [("delta", MarginalTV), ("reduction", ScheffeReduction)]
-    + [(f"{side}_{name}", "float | None") for side, name in _BOUNDS]
-    + [("best_lower", float), ("best_lower_source", str),
-       ("best_upper", float), ("best_upper_source", str)],
-    bases=(_ReportMethods,),
-    frozen=True,
-    namespace={"__module__": __name__, "__doc__": """\
-Every applicable TV bound for a product pair, plus the best aggregates.
-
-    Its fields side_name follow the table of bounds. Optional fields are None
-    when the bound does not apply: lower_kl requires a finite KL divergence and
-    a small enough minimum mass, the symmetric upper bounds require the pair to
-    reduce to a two-point symmetric one."""},
-)
+def _applicable(values: dict, side: str) -> dict:
+    """The bounds on one side that apply, by name, in the report's field
+    order: values[side_name] for each field side_name that is not None."""
+    prefix = side + "_"
+    return {f.name[len(prefix):]: values[f.name] for f in fields(BoundsReport)
+            if f.name.startswith(prefix) and values[f.name] is not None}
 
 
 def bounds_report(pair: FiniteProductPair) -> BoundsReport:
@@ -303,26 +287,33 @@ def bounds_report(pair: FiniteProductPair) -> BoundsReport:
     p_active, q_active = red.p.params[active], red.q.params[active]
     symmetric = np.all(pair.support_sizes[active] <= 2) and np.all(
         np.abs(q_active - (1.0 - p_active)) <= SYMMETRIC_TOLERANCE)
-    inputs = _Inputs(delta, pair if active.all() else pair._take(active),
-                     _unchecked(ProbVector, params=p_active) if symmetric else None)
+    active_pair = pair if active.all() else pair._take(active)
 
-    values = {}
-    for low, up, bracket in _FAMILIES:
-        lower, upper = bracket(inputs)
-        if low:
-            values[f"lower_{low}"] = lower
-        if up:
-            values[f"upper_{up}"] = upper
-    lowers, uppers = _applicable(values, "lower"), _applicable(values, "upper")
+    # Each family is called by its module-level name, so that a wrapper put
+    # in its place sees the call. On a pair with no coordinates (identical
+    # sides, TV 0) the Hellinger bracket gives (0.0, 0.0), KL gives
+    # (None, 0.0) and both symmetric bounds give 0.0 on the empty p.
+    bounds = {"upper_symmetric": None, "upper_affinity": None}
+    bounds["lower_trivial"], bounds["upper_trivial"] = trivial_bracket(delta)
+    bounds["lower_l2"] = l2_lower_bound(delta)
+    bounds["lower_hellinger"], bounds["upper_hellinger"] = hellinger_bracket(active_pair)
+    bounds["lower_kl"], bounds["upper_pinsker"] = kl_bracket(active_pair)
+    if symmetric:
+        symmetric_p = _unchecked(ProbVector, params=p_active)
+        bounds["upper_symmetric"] = symmetric_l2_upper_bound(symmetric_p)
+        bounds["upper_affinity"] = symmetric_affinity_upper_bound(symmetric_p)
+
+    lowers, uppers = _applicable(bounds, "lower"), _applicable(bounds, "upper")
     best_lower_source = max(lowers, key=lowers.get)
     best_upper_source = min(uppers, key=uppers.get)
     return BoundsReport(
         delta=delta,
         reduction=red,
-        **values,
-        # Rounding can put a bound just outside [0, 1]: on a disjoint pair
-        # lower_hellinger can read 1.0000000000000002 against upper_trivial
-        # 1.0, and best_lower would then exceed best_upper.
+        **bounds,
+        # Rounding can put a bound just outside [0, 1] (lower_hellinger reads
+        # 1.0000000000000002 on some disjoint pairs). The clamp keeps each best
+        # value in [0, 1], but not best_lower <= best_upper: P [[.5, .5, 0]],
+        # Q [[0, .5, .5]] reads 0.5000000000000001 against 0.5 (ROADMAP item 7).
         best_lower=min(1.0, max(0.0, lowers[best_lower_source])),
         best_lower_source=best_lower_source,
         best_upper=min(1.0, max(0.0, uppers[best_upper_source])),

@@ -130,7 +130,7 @@ def _mass_rows(rows, side: str | None = None) -> tuple:
             message = "a non-empty 1-D vector" if side is None else "a sequence of 1-D mass rows"
             raise InvalidDistributionError(f"{side or 'masses'} must be {message}") from None
     negative = (masses < 0.0).any(axis=1)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         totals = _row_sums(masses)
     # A non-finite mass makes its row's total non-finite, which fails the test.
     bad = (sizes == 0) | negative | ~(np.abs(totals - 1.0) <= MASS_TOLERANCE)
@@ -366,11 +366,13 @@ def _check_budget(sizes, budget_log2: int | None, n: int | None = None) -> None:
                                          f"enumeration budget (n = {n or len(sizes)})")
 
 
-def _product_block(mass_list) -> np.ndarray:
-    """Joint masses over the given coordinates, mixed-radix indexed."""
-    block = np.ones(1)
-    for masses in mass_list:
-        block = (masses[:, None] * block[None, :]).reshape(-1)
+def _product_block(rows, op=np.multiply) -> np.ndarray:
+    """Joint values over the given coordinates, mixed-radix indexed with the
+    newest coordinate outermost: ``op`` of one entry of each row, folded from
+    op's identity (joint masses by default, sign sums with np.add)."""
+    block = np.full(1, float(op.identity))
+    for row in rows:
+        block = op.outer(row, block).reshape(-1)
     return block
 
 

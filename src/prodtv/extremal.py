@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProbVector, _check_budget, _l2_norm, _positive_int, exact_tv_equal_marginals
+from .core import (ProbVector, _check_budget, _l2_norm, _positive_int, _product_block,
+                   exact_tv_equal_marginals)
 
 __all__ = [
     "GapInstance",
@@ -134,13 +135,6 @@ def gap_ratio_exact(n: int) -> float:
     return _gap_scalars(n)[0] / exact_tv_equal_marginals(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n)
 
 
-def _sign_sums(weights: np.ndarray) -> np.ndarray:
-    sums = np.zeros(1)
-    for a in weights:
-        sums = np.concatenate((sums - a, sums + a))
-    return sums
-
-
 def lowther_check(instance: RademacherInstance) -> tuple:
     """(lhs, rhs, ratio) of the concave sign-sum comparison.
 
@@ -153,6 +147,7 @@ def lowther_check(instance: RademacherInstance) -> tuple:
     u = instance.threshold
     z = _l2_norm(instance.weights)
     lhs = min(z, u)
-    magnitudes = np.abs(_sign_sums(instance.weights))
+    w = instance.weights
+    magnitudes = np.abs(_product_block(np.stack((-w, w), axis=1), np.add))
     rhs = float(np.minimum(magnitudes, u).mean())
     return lhs, rhs, lhs / rhs

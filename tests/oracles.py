@@ -39,6 +39,15 @@ def tv_bernoulli_brute(p, q):
     return 0.5 * total
 
 
+def sign_sum_loop(weights, pattern):
+    """sum_i eps_i w_i for the sign pattern whose bit i is 1 where eps_i = +1,
+    each term added to the running sum from 0.0, in coordinate order."""
+    total = 0.0
+    for i, w in enumerate(weights):
+        total = (w if pattern >> i & 1 else -w) + total
+    return total
+
+
 def tv_general_brute(p_rows, q_rows):
     """TV by direct summation over the full mixed-radix outcome space."""
     supports = [range(len(row)) for row in p_rows]

@@ -767,6 +767,17 @@ class TestBlasThreadCount:
         assert outputs[0] == outputs[1]
 
 
+class TestOverflowingMasses:
+    def test_exit_2_with_one_stderr_line(self):
+        # A fresh interpreter prints a RuntimeWarning that escapes validation.
+        proc = subprocess.run([sys.executable, "-m", "prodtv.cli", "bounds", "-"],
+                              input='{"P": [[1e308, 1e308]], "Q": [[0.5, 0.5]]}',
+                              capture_output=True, text=True, env=fresh_env(), timeout=120)
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: -: P[0]: masses sum to inf, not 1"]
+
+
 class TestExactBracketCheck:
     def near_identical(self, tmp_path):
         # TV is about 1.9e-8, but the Hellinger affinity product rounds to 1,

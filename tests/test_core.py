@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1004,6 +1005,17 @@ class TestValidation:
             tv.FiniteDist([0.5, 0.4])  # sums to 0.9
         dist = tv.FiniteDist([0.5, 0.5 + 1e-10])
         assert dist.masses.sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("row", [[1e308, 1e308], [1e308, 1e308, 1e308]])
+    def test_overflowing_total_raises_the_typed_error(self, row):
+        # Two states add as columns, three or more in a reduction; neither
+        # overflow may surface as a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tv.InvalidDistributionError, match=r"masses sum to inf, not 1"):
+                tv.FiniteDist(row)
+            with pytest.raises(tv.InvalidDistributionError, match=r"^P\[0\]: masses sum to inf"):
+                tv.FiniteProductPair([row], [[1.0] + [0.0] * (len(row) - 1)])
 
     def test_pair_shape_checks(self):
         with pytest.raises(tv.DimensionMismatchError):

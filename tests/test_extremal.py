@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import prodtv as tv
-from oracles import GAP_RATIO_LOWER_BOUND, GAP_TV_PQ_BOUND, gap_tv_pq_mpmath, tv_bernoulli_brute
+from oracles import (GAP_RATIO_LOWER_BOUND, GAP_TV_PQ_BOUND, gap_tv_pq_mpmath, sign_sum_loop,
+                     tv_bernoulli_brute)
+from prodtv.core import _product_block
 
 
 class TestGapInstance:
@@ -180,6 +182,28 @@ class TestLowtherCheck:
             _, _, ratio = tv.lowther_check(tv.RademacherInstance(weights, threshold))
             assert ratio <= tv.LOWTHER_RATIO_BOUND + 1e-9
             assert ratio <= 2.187 + 1e-9
+
+    def test_sign_sums_match_a_plain_loop(self):
+        # Bit i of a sum's index is coordinate i's sign (1 for +), the newest
+        # coordinate outermost; every pattern is checked up to n = 10, and 300
+        # random ones above, up to the cap.
+        rng = np.random.default_rng(503)
+        for n in range(1, 21):
+            weights = 10.0 ** rng.uniform(-8, 5, n)
+            sums = _product_block(np.stack((-weights, weights), axis=1), np.add)
+            assert sums.shape == (2 ** n,)
+            patterns = range(2 ** n) if n <= 10 else rng.integers(0, 2 ** n, 300).tolist()
+            for m in patterns:
+                assert sums[m] == sign_sum_loop(weights.tolist(), m), (n, m)
+
+    def test_rhs_matches_a_plain_loop(self):
+        rng = np.random.default_rng(504)
+        for _ in range(200):
+            inst = tv.RademacherInstance(1.0 - rng.random(int(rng.integers(1, 11))),
+                                         float(rng.uniform(0.05, 2.5)))
+            sums = np.array([sign_sum_loop(inst.weights.tolist(), m) for m in range(2 ** inst.n)])
+            rhs = float(np.minimum(np.abs(sums), inst.threshold).mean())
+            assert tv.lowther_check(inst)[1] == rhs
 
     def test_enumeration_cap(self):
         inst = tv.RademacherInstance([1.0] * 21, 1.0)

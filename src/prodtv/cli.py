@@ -11,8 +11,10 @@ use shortest round-trip formatting, so identical invocations produce
 byte-identical output. Exit codes: 0 success, 2 parse/validation error,
 3 enumeration budget exceeded (or a closed-form window past it), 4
 numeric-domain error (including an exact TV that ``bounds --exact`` finds
-outside its own bracket, a size past the float range, and a closed-form
-window past 2**53, where doubles no longer hold every count).
+outside its own bracket, a size past the float range, a closed-form window
+past 2**53, where doubles no longer hold every count, and any arithmetic
+error, such as the KL lower bound's division by zero when the joint minimum
+mass underflows).
 """
 
 from __future__ import annotations
@@ -410,7 +412,7 @@ def main(argv=None) -> int:
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OverflowError) as exc:  # the latter: a size past the float range
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -678,7 +678,10 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
 
 
 def marginal_tv(pair: FiniteProductPair) -> MarginalTV:
-    """Per-coordinate TV distances of a product pair."""
+    """Per-coordinate TV distances of a product pair, each computed as half
+    the l1 distance of the two marginals. ``bounds_report(pair).delta`` holds
+    the Scheffé differences p - q instead; the two agree on Bernoulli pairs
+    and may differ in the last bits on others."""
     pair = _as_pair(pair)
     deltas = 0.5 * _row_sums(np.abs(pair.p_masses - pair.q_masses))
     return MarginalTV(deltas)

@@ -25,8 +25,12 @@ class ScheffeReduction:
     the first marginal strictly outweighs the second; padding states never
     are. ``p.params[i]`` and ``q.params[i]`` are the two marginals' masses on
     coordinate i's favored set, so p >= q coordinate-wise and p - q equals the
-    marginal TV sequence. ``witness_sets[i]`` lists those states as a tuple of
-    ints; it is built from the mask on first use.
+    marginal TV sequence. ``p.params[i] > 0`` exactly when coordinate i has a
+    favored state: such a state has P > Q >= 0, a sum of nonnegative doubles
+    is at least its largest term, and ProbVector clips only above 1; a row
+    with none sums zeros to +0.0.
+    ``witness_sets[i]`` lists those states as a tuple of ints; it is built
+    from the mask on first use.
     """
 
     p: ProbVector

@@ -378,9 +378,52 @@ class TestOrderFreeReductions:
             if np.count_nonzero(pair.p_masses > 0.0) == sizes.sum():
                 gated += 1
                 assert _min_mass_products(pair, pair.p_masses > 0.0) == got
-            favored = tv.scheffe_reduce(pair).favored
-            assert np.array_equal(favored.T.any(axis=0), favored.any(axis=1))
+            _assert_active_set_is_positive_p(pair)
         assert 0 < gated < 200  # both kinds of P occur
+
+    def test_active_set_on_edge_inputs(self):
+        """bounds_report reads the active coordinates as p > 0: a coordinate
+        has a favored state exactly when its favored P-mass is positive, also
+        at subnormal masses, long rows, identical rows and one-ulp gaps."""
+        tiny = 5e-324
+        one_less = np.nextafter(1.0, 0.0)
+        pairs = [
+            tv.FiniteProductPair([[tiny, 1.0]], [[0.0, 1.0]]),
+            tv.FiniteProductPair([[0.0, 1.0]], [[tiny, 1.0]]),
+            tv.FiniteProductPair([[tiny, tiny, 1.0]], [[tiny, 0.0, 1.0]]),
+            tv.FiniteProductPair([np.eye(12)[3]], [np.eye(12)[3]]),
+            tv.FiniteProductPair([[0.5, 0.5], [0.25, 0.75]], [[0.5, 0.5], [0.25, 0.75]]),
+        ]
+        for p, q in [([0.0, 1.0, tiny, one_less, 0.5], [tiny, one_less, 0.0, 1.0, 0.5]),
+                     ([tiny, 2 * tiny, 0.3], [0.0, tiny, np.nextafter(0.3, 1.0)]),
+                     ([1.0, 0.0, 0.0], [1.0, 0.0, 1.0])]:
+            pairs += [tv.FiniteProductPair.from_bernoulli(p, q),
+                      tv.FiniteProductPair.from_bernoulli(q, p)]
+        rng = np.random.default_rng(347)
+        for _ in range(300):
+            k = int(rng.integers(2, 17))  # numpy sums rows of 8 or more pairwise
+            p_rows, q_rows = [], []
+            for _ in range(int(rng.integers(1, 6))):
+                p = rng.random(k) * (rng.random(k) < 0.6)
+                if not p.any():
+                    p[0] = 1.0
+                p = p / p.sum()
+                kind = int(rng.integers(4))
+                if kind == 0:  # identical rows
+                    q = p.copy()
+                elif kind == 1:  # one ulp apart on some states
+                    q = np.where(rng.random(k) < 0.5, np.nextafter(p, 1.0), p)
+                elif kind == 2:  # subnormal masses on the zero states
+                    q = np.where(p == 0.0, tiny * rng.integers(0, 3, k), p)
+                else:
+                    q = p * np.exp(rng.normal(0.0, 1e-3, k))
+                p_rows.append(p)
+                q_rows.append(q / q.sum())
+            pairs.append(tv.FiniteProductPair(p_rows, q_rows))
+        inactive = 0
+        for pair in pairs:
+            inactive += np.count_nonzero(~_assert_active_set_is_positive_p(pair))
+        assert inactive > 0  # coordinates without a favored state occur
 
     def test_empty_pair(self):
         pair = tv.FiniteProductPair([[0.5, 0.5]], [[0.5, 0.5]])._take(np.array([False]))
@@ -616,6 +659,15 @@ class TestIdenticalSidesTakeTheGeneralPath:
                                                  [[0, 0, 0.532, 0.468]]))
         assert report.lower_hellinger > 1.0
         assert report.best_lower <= report.best_upper
+
+
+def _assert_active_set_is_positive_p(pair) -> np.ndarray:
+    """Assert that a coordinate has a favored state exactly when its reduced
+    p is positive, and return that active set."""
+    red = tv.scheffe_reduce(pair)
+    active = red.favored.any(axis=1)
+    assert np.array_equal(active, red.p.params > 0.0)
+    return active
 
 
 def _random_rows(rng, n, k_max):

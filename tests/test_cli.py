@@ -86,6 +86,15 @@ class TestBoundsCommand:
         assert any("exact TV omitted" in w for w in doc["warnings"])
         assert doc["best_lower"] <= doc["best_upper"]
 
+    def test_underflowing_minimum_mass_is_domain_error(self, tmp_path, capsys):
+        # Q's joint minimum mass 1e-300 * 1e-300 underflows to 0, so the KL
+        # lower bound's 1 / m raises ZeroDivisionError in the library
+        # (ROADMAP item 1); the CLI reports it as a numeric-domain error.
+        path = write_instance(tmp_path, {"p": [0.5, 0.5], "q": [1e-300, 1e-300]})
+        code, out, err = run(capsys, ["bounds", path])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_round_trip_values(self, tmp_path, capsys):
         path = write_instance(tmp_path, {"p": [0.9, 0.3], "q": [0.2, 0.8]})
         code, out, _ = run(capsys, ["bounds", path, "--exact"])

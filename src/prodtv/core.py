@@ -1,17 +1,17 @@
 """Exact, closed-form, and sampled total-variation distances for product measures.
 
 The exact paths meet in the middle (Horowitz-Sahni): the coordinates are split
-into two halves, one half's outcomes are sorted by log-likelihood ratio, and
-the other half's outcomes, searched in ascending threshold order, each find
-the sorted run of partners whose joint P-mass exceeds its Q-mass. A joint
-support of N outcomes costs O(sqrt(N) log N) time and O(sqrt(N)) memory
-instead of O(N). The enumeration budget still caps N itself, and no result
-depends on a worker count.
+into two halves, and one sort of half B's log-likelihood ratios merged with
+half A's thresholds orders B and gives each outcome of A the sorted run of
+partners whose joint P-mass exceeds its Q-mass. A joint support of N outcomes
+costs O(sqrt(N) log N) time and O(sqrt(N)) memory instead of O(N). The
+enumeration budget still caps N itself, and no result depends on a worker
+count.
 
-Large halves are ordered by one numpy sort of unique int64 keys, so no order
-depends on numpy's sort algorithm or CPU dispatch. The sorted half's order is
-checked to be the stable argsort's, which fixes how its suffix sums round;
-the searched half may take any order, since its terms are added in its own.
+More than 1024 values are ordered by one numpy sort of unique int64 keys, so
+no order depends on numpy's sort algorithm or CPU dispatch. The order is
+checked to be the stable argsort's, which fixes how B's suffix sums round,
+and repaired where it is not; A's terms are added in A's own order.
 """
 
 from __future__ import annotations
@@ -406,15 +406,41 @@ def _scan_total(values: np.ndarray) -> float:
     return float(tree[0])
 
 
-def _half(p_rows, q_rows) -> tuple:
-    """A half's joint masses, without the outcomes that are null on both sides."""
-    mass_p, mass_q = _product_block(p_rows), _product_block(q_rows)
+def _live(mass_p: np.ndarray, mass_q: np.ndarray) -> tuple:
+    """A half's joint masses without the outcomes that are null on both sides;
+    the blocks as they are when there is none."""
     kept = (mass_p > 0.0) | (mass_q > 0.0)
+    if kept.all():
+        return mass_p, mass_q
     return mass_p[kept], mass_q[kept]
 
 
-# Halves of at most this many outcomes are ordered by np.argsort: below it the
-# keys' extra passes cost more than the integer sort saves.
+def _fold(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``_product_block`` for m blocks at once: ``block`` (m, N) and ``rows``
+    (m, steps, k) give the (m, N k**steps) blocks that fold row ``rows[i, s]``
+    onto ``block[i]`` one step s at a time, newest coordinate outermost."""
+    for step in range(rows.shape[1]):
+        block = (rows[:, step, :, None] * block[:, None, :]).reshape(len(block), -1)
+    return block
+
+
+def _stacked_halves(p_rows: np.ndarray, q_rows: np.ndarray, split: int) -> tuple:
+    """The two halves' joint masses (P_A, Q_A), (P_B, Q_B) of (n, k) rows cut at
+    ``split``, each the bits of ``_product_block``: the halves' first
+    min(split, n - split) coordinates fold as one (4, N) block, and what is
+    left of the longer half folds onto its own two blocks alone. That is B's
+    last coordinate for odd n with k = 2; for other k the rounded log2 sizes
+    may make A the longer half."""
+    rows = np.stack((p_rows, q_rows))
+    common = min(split, len(p_rows) - split)
+    block = _fold(np.ones((4, 1)), np.concatenate(
+        (rows[:, :common], rows[:, split:split + common])))
+    return (_fold(block[:2], rows[:, common:split]),
+            _fold(block[2:], rows[:, split + common:]))
+
+
+# At most this many values are ordered by np.argsort: below it the keys'
+# extra passes cost more than the integer sort saves.
 _ARGSORT_MAX = 1 << 10
 _MAGNITUDE_BITS = 0x7FFF_FFFF_FFFF_FFFF
 
@@ -424,19 +450,15 @@ def _keyed_order(values: np.ndarray) -> np.ndarray:
     low b = bit_length(size - 1) bits, found by one int64 sort.
 
     A double's bits read as an int64, with the 63 magnitude bits flipped when
-    the sign bit is set, ascend with its value (-0.0 sorts just below 0.0).
-    The low b bits of each key are replaced by the value's index, so the keys
-    are unique: their sorted order is the same whatever algorithm or CPU
-    dispatch numpy's sort uses, and masking it gives the permutation. Values
-    that agree in all but their low b bits, ties included, come out in index
-    order, so two that differ only there may come out of order.
-
-    This is the order in which half A's thresholds are searched: the index
-    found for a threshold depends only on that threshold and the terms are
-    added in block order, so any order gives the same bits, and a nearly
-    ascending one lets each search start where the last one ended.
+    the sign bit is set, ascend with its value; -0.0 is keyed as 0.0, so
+    equal values have equal keys, NaN apart. The low b bits of each key are
+    replaced by the value's index, so the keys are unique: their sorted order
+    is the same whatever algorithm or CPU dispatch numpy's sort uses, and
+    masking it gives the permutation. Values that agree in all but their low
+    b bits, equal ones included, come out in index order, so two that differ
+    only there may come out of order.
     """
-    bits = values.view(np.int64)
+    bits = (values + 0.0).view(np.int64)
     mask = (1 << (values.size - 1).bit_length()) - 1
     keys = bits >> 63
     keys &= _MAGNITUDE_BITS
@@ -451,24 +473,61 @@ def _keyed_order(values: np.ndarray) -> np.ndarray:
 def _stable_order(values: np.ndarray) -> np.ndarray:
     """``np.argsort(values, kind="stable")``, element for element.
 
-    A half of at most _ARGSORT_MAX outcomes takes that call. A non-decreasing
-    one, such as the closed form's binomial rows, takes the identity. Any
-    other takes ``_keyed_order`` when one check proves it stable: each
-    adjacent pair of the sorted values is strictly ascending, or equal with
-    ascending index. Then the permutation sorts by (value, index), which
-    defines the stable order uniquely. The check fails on values the keys
-    cannot tell apart and on NaN, which fall back to the stable argsort.
+    At most _ARGSORT_MAX values take that call. More take ``_keyed_order``
+    when one check proves it stable: each adjacent pair of the sorted values
+    is strictly ascending, or equal with ascending index. Then the
+    permutation sorts by (value, index), which defines the stable order
+    uniquely. The check fails on values that differ only in the keys' dropped
+    low bits; the keyed order is then repaired by a stable argsort of the
+    values in its own order. That is exact: equal values have equal keys, so
+    the keyed order holds each run of them in index order already, and the
+    stable sort keeps it. NaN fails the check too, and since NaNs of other
+    bits are not keyed alike, values with one take the stable argsort of the
+    values themselves.
     """
     if values.size <= _ARGSORT_MAX:
         return np.argsort(values, kind="stable")
-    if (values[1:] >= values[:-1]).all():
-        return np.arange(values.size)
     order = _keyed_order(values)
     ordered = values[order]
     if ((ordered[1:] > ordered[:-1])
             | ((ordered[1:] == ordered[:-1]) & (order[1:] > order[:-1]))).all():
         return order
-    return np.argsort(values, kind="stable")
+    if np.isnan(ordered).any():
+        return np.argsort(values, kind="stable")
+    return order[np.argsort(ordered, kind="stable")]
+
+
+def _monotone_order(values: np.ndarray) -> np.ndarray:
+    """``_stable_order(values)``, with no sort for more than _ARGSORT_MAX values
+    that are already non-decreasing (the identity), such as the closed
+    form's rows with p > q, or strictly descending (the reversal), such as
+    its rows with p < q."""
+    if values.size > _ARGSORT_MAX:
+        if (values[1:] >= values[:-1]).all():
+            return np.arange(values.size)
+        if (values[1:] < values[:-1]).all():
+            return np.arange(values.size)[::-1]
+    return _stable_order(values)
+
+
+def _merged_order(ratio_b: np.ndarray, threshold_a: np.ndarray) -> tuple:
+    """Half B's stable order, and for each threshold of half A the number of
+    B's ratios at most it, ``np.searchsorted`` of it with side="right" in
+    B's sorted ratios, both read off one ``_stable_order`` of the
+    concatenation, B first.
+
+    Restricted to B, that order is B's own stable order. An A threshold's
+    merged position counts the B ratios below it, and the equal ones, which
+    come first as B comes first, plus the A thresholds before it, its rank
+    among A's entries of the order.
+    """
+    order = _stable_order(np.concatenate((ratio_b, threshold_a)))
+    in_b = order < ratio_b.size
+    # Positions, not masks: numpy's boolean indexing branches on each entry.
+    at_a = np.flatnonzero(~in_b)
+    first = np.empty(threshold_a.size, dtype=np.intp)
+    first[order[at_a] - ratio_b.size] = at_a - np.arange(at_a.size)
+    return order[np.flatnonzero(in_b)], first
 
 
 def _exact_tv(p_rows, q_rows) -> float:
@@ -477,23 +536,23 @@ def _exact_tv(p_rows, q_rows) -> float:
     TV is the sum over joint outcomes (a, b) of P_a P_b - Q_a Q_b where that is
     positive, i.e. where log P_b - log Q_b > log Q_a - log P_a. The coordinates
     are cut into halves A and B whose support sizes balance in log2; B is
-    sorted by its log-likelihood ratio with suffix sums of P_b and Q_b, and a
-    binary search of each outcome a's threshold gives its term
-    P_a sum P_b - Q_a sum Q_b.
+    sorted by its log-likelihood ratio with suffix sums of P_b and Q_b, and
+    each outcome a's term P_a sum P_b - Q_a sum Q_b reads the suffix of the
+    ratios above its threshold.
 
-    B's order is ``_stable_order``, the stable argsort's element for element,
-    so the suffix sums keep their bits. A's thresholds are searched in the
-    nearly ascending ``_keyed_order`` (``np.argsort`` on halves of at most
-    _ARGSORT_MAX outcomes), so that each search starts where the last one
-    ended and its branches predict well, and the indices are scattered back.
-    An index depends only on its own threshold and the terms are added in A's
-    block order, so the result is bit for bit that of searching in block order.
+    Rows given as one (n, k) array, as for every Bernoulli pair, build both
+    halves together (``_stacked_halves``); other rows build each half with
+    ``_product_block``, to the same bits. One ``_stable_order`` of B's ratios
+    and A's thresholds together gives B's order, the stable argsort's element
+    for element, so the suffix sums keep their bits, and each threshold's
+    suffix index (``_merged_order``). The terms are added in A's block order.
 
     A one-outcome half A (the closed form's one coordinate, where split is 0)
     reads one index of each suffix sum, so it takes just those two sums, by
     ``_scan_total`` over B's sorted outcomes from that index, reversed, in
-    O(|B|) time and without the scans. The scan's value at an index is the
-    right-aligned pairwise tree over the values up to it, which is what
+    O(|B|) time and without the scans; B's order skips the sort when B's
+    ratios are monotone (``_monotone_order``). The scan's value at an index
+    is the right-aligned pairwise tree over the values up to it, which is what
     ``_scan_total`` adds: the same additions, except that the scan skips an
     addition of 0.0 where the tree makes it, which can change only the sign
     of a zero sum. The suffix holds only outcomes whose log ratio passes the
@@ -510,24 +569,26 @@ def _exact_tv(p_rows, q_rows) -> float:
     """
     log_sizes = np.concatenate(([0.0], np.cumsum([math.log2(len(r)) for r in p_rows])))
     split = int(np.argmin(np.abs(2.0 * log_sizes - log_sizes[-1])))
-    mass_pa, mass_qa = _half(p_rows[:split], q_rows[:split])
-    mass_pb, mass_qb = _half(p_rows[split:], q_rows[split:])
+    if isinstance(p_rows, np.ndarray):
+        half_a, half_b = _stacked_halves(p_rows, q_rows, split)
+    else:
+        half_a = (_product_block(p_rows[:split]), _product_block(q_rows[:split]))
+        half_b = (_product_block(p_rows[split:]), _product_block(q_rows[split:]))
+    mass_pa, mass_qa = _live(*half_a)
+    mass_pb, mass_qb = _live(*half_b)
     with np.errstate(divide="ignore"):
         ratio_b = np.log(mass_pb) - np.log(mass_qb)
         threshold_a = np.log(mass_qa) - np.log(mass_pa)
-    order = _stable_order(ratio_b)
     if threshold_a.size == 1:
+        order = _monotone_order(ratio_b)
         first = int(np.searchsorted(ratio_b[order], threshold_a[0], side="right"))
         suffix = order[first:][::-1]
         term = (mass_pa[0] * _scan_total(mass_pb[suffix])
                 - mass_qa[0] * _scan_total(mass_qb[suffix]))
         return min(1.0, float(max(0.0, term)))
+    order, first = _merged_order(ratio_b, threshold_a)
     tail_p = np.append(_scan(mass_pb[order][::-1])[::-1], 0.0)
     tail_q = np.append(_scan(mass_qb[order][::-1])[::-1], 0.0)
-    order_a = (np.argsort(threshold_a) if threshold_a.size <= _ARGSORT_MAX
-               else _keyed_order(threshold_a))
-    first = np.empty_like(order_a)
-    first[order_a] = np.searchsorted(ratio_b[order], threshold_a[order_a], side="right")
     terms = np.maximum(0.0, mass_pa * tail_p[first] - mass_qa * tail_q[first])
     # Unclamped, a disjoint pair can exceed 1 by a few ulps, inside the error bound.
     return min(1.0, _scan_total(terms))

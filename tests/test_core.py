@@ -718,10 +718,40 @@ class TestScanTotal:
             pa, qa = rng.random(26), rng.random(26)
             qa[rng.choice(26, 7, replace=False)] = rng.integers(0, 2, 7)
             pairs.append((pa, qa))
+        # Odd n, where half B's last coordinate folds onto B's blocks alone,
+        # and n = 25 and 26 pairs with repeated parameters, whose merged order
+        # takes the repair.
+        pairs += [(rng.random(n), rng.random(n)) for n in (23, 25)]
+        for n in (25, 26):
+            values = rng.random(3)
+            pairs += [(np.full(n, 0.3), np.full(n, 0.4)),
+                      (rng.choice(values, n), rng.choice(values, n))]
         for pa, qa in pairs:
             rows = (np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
             assert (tv.core._exact_tv(*rows).hex()
                     == exact_kernel_reference(*rows).hex()), (pa, qa)
+
+    def test_kernel_bit_identical_three_state_and_mixed_rows(self):
+        """Uniform three-state rows, given as one (n, 3) array, build both
+        halves as one block; at n = 11 the rounded log2 sizes put the split at
+        6, so half A has the last coordinate to fold alone. Rows of mixed
+        sizes build each half on its own. Some states are null on both
+        sides, so outcomes are dropped."""
+        rng = np.random.default_rng(408)
+        for n in range(1, 12):
+            rows = rng.dirichlet(np.ones(3), (2, n))
+            null = rng.random((n, 3)) < 0.15
+            null[np.arange(n), rng.integers(3, size=n)] = False  # each row keeps a state
+            rows[:, null] = 0.0
+            p_rows, q_rows = rows / rows.sum(axis=2, keepdims=True)
+            assert (tv.core._exact_tv(p_rows, q_rows).hex()
+                    == exact_kernel_reference(p_rows, q_rows).hex()), (p_rows, q_rows)
+        for sizes in ([2, 3, 4, 2, 3, 4, 2, 5], [5, 1, 3, 2, 2, 3, 4]):
+            pair = tv.FiniteProductPair(*([rng.dirichlet(np.ones(k)) for k in sizes]
+                                          for _ in range(2)))
+            rows = [tv.core._unpadded(masses, sizes) for masses in (pair.p_masses, pair.q_masses)]
+            assert isinstance(rows[0], list)
+            assert tv.core._exact_tv(*rows).hex() == exact_kernel_reference(*rows).hex(), sizes
 
     @pytest.mark.parametrize("width", [1, 2, 3, 1024, 1025, 2 ** 13 + 1, 12619])
     def test_one_coordinate_bit_identical(self, width):
@@ -764,8 +794,9 @@ class TestScanTotal:
 
 
 def _order_cases():
-    """(values, branch of _stable_order) pairs over the three branches for
-    large halves and the argsort of small ones."""
+    """(values, branch of _monotone_order) pairs over the monotone shortcuts,
+    the three branches of _stable_order for large halves and the argsort of
+    small ones."""
     rng = np.random.default_rng(404)
     size = 1 << 13
     base = rng.random(size // 2)
@@ -776,65 +807,136 @@ def _order_cases():
     with_nan = rng.normal(size=size)
     with_nan[rng.choice(size, 9, replace=False)] = np.nan
     ascending = np.sort(rng.normal(size=size) * 1e3)
-    return {
+    cases = {
         "exact ties": (rng.choice(rng.normal(size=5), size), "keyed"),
         "infinite ties": (rng.choice([-np.inf, np.inf, -2.5, 0.0, 7.0], size), "keyed"),
         "random 2**13": (rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size), "keyed"),
-        "reversed": (ascending[::-1].copy(), "keyed"),
+        "reversed": (ascending[::-1].copy(), "reversed"),
         "just past argsort": (rng.random(1025), "keyed"),
-        "dropped low bits differ": (low_bits, "fallback"),
-        "signed zeros": (rng.choice([0.0, -0.0, 1.0], size), "fallback"),
+        "dropped low bits differ": (low_bits, "repaired"),
+        "signed zeros": (rng.choice([0.0, -0.0, 1.0], size), "keyed"),
         "nan": (with_nan, "fallback"),
         "sorted": (ascending, "identity"),
         "sorted with ties": (np.sort(rng.choice([-np.inf, 0.0, 1.5, np.inf], size)), "identity"),
         "length 1": (np.array([0.3]), "argsort"),
         "length 1024": (rng.random(1024), "argsort"),
     }
+    # Not strictly descending: the reversal would put its ties out of index order.
+    cases["reversed with ties"] = (cases["sorted with ties"][0][::-1].copy(), "keyed")
+    return cases
 
 
 ORDER_CASES = _order_cases()
 
 
+def _kernel_halves(pa, qa):
+    """Half B's log ratios and half A's thresholds, as the kernel forms them,
+    for the Bernoulli pair (pa, qa)."""
+    p_rows, q_rows = np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1)
+    half_a, half_b = tv.core._stacked_halves(p_rows, q_rows, pa.size // 2)
+    with np.errstate(divide="ignore"):
+        return (np.log(half_b[0]) - np.log(half_b[1]),
+                np.log(half_a[1]) - np.log(half_a[0]))
+
+
+def _merged_cases():
+    """(half B's ratios, half A's thresholds, branch of _stable_order) for the
+    merged order: ties between the halves, near-ties in the keys' dropped low
+    bits, signed zeros, NaN of either sign, and merged sizes around
+    _ARGSORT_MAX."""
+    rng = np.random.default_rng(407)
+    size = 1 << 12
+    shared = rng.normal(size=6)
+    base = rng.random(size)
+    with_nan = rng.normal(size=(2, size))
+    with_nan[0, rng.choice(size, 5, replace=False)] = np.nan
+    with_nan[1, rng.choice(size, 5, replace=False)] = np.copysign(np.nan, -1.0)
+    return {
+        "exact ties across halves": (rng.choice(shared, size), rng.choice(shared, size), "keyed"),
+        "infinities on both halves": (rng.choice([-np.inf, np.inf, 0.5], size),
+                                      rng.choice([-np.inf, np.inf, -0.5, 0.5], size), "keyed"),
+        # A's threshold one ulp below B's ratio: the keys put B's first.
+        "low-bit near-ties": (base, np.nextafter(base, -np.inf), "repaired"),
+        "constant pair, n = 26": (*_kernel_halves(np.full(26, 0.3), np.full(26, 0.4)),
+                                  "repaired"),
+        "signed zeros": (rng.choice([0.0, -0.0, 1.0], size), rng.choice([-0.0, 0.0, -1.0], size),
+                         "keyed"),
+        "nan of either sign": (*with_nan, "fallback"),
+        "random, B twice A": (rng.normal(size=2 * size), rng.normal(size=size), "keyed"),
+        "random pair, n = 26": (*_kernel_halves(rng.random(26), rng.random(26)), "keyed"),
+        "merged 1024": (rng.random(512), rng.random(512), "argsort"),
+        "merged 1025": (rng.random(513), rng.random(512), "keyed"),
+        "merged 1025, ties": (rng.choice(shared, 513), rng.choice(shared, 512), "keyed"),
+    }
+
+
+MERGED_CASES = _merged_cases()
+
+
 class TestKernelOrder:
     """Half B's order equals np.argsort(kind="stable") element for element
-    whichever branch of _stable_order gives it, and each branch is taken."""
+    whichever branch gives it, alone or merged with half A's thresholds, and
+    each branch is taken."""
 
     @staticmethod
-    def stable_order_branch(monkeypatch, values):
-        """_stable_order(values), and the branch it took."""
-        calls = []
-        keyed, argsort = tv.core._keyed_order, np.argsort
+    def ordered_with_branch(monkeypatch, order_fn, *args):
+        """order_fn(*args), and the branch of _stable_order it took; with no
+        sort, the shortcut of _monotone_order that gave the order."""
+        calls, inputs = [], []
+        stable, keyed, argsort = tv.core._stable_order, tv.core._keyed_order, np.argsort
         with monkeypatch.context() as patch:
+            patch.setattr(tv.core, "_stable_order",
+                          lambda values: inputs.append(values) or stable(values))
             patch.setattr(tv.core, "_keyed_order",
                           lambda *args: calls.append("keyed") or keyed(*args))
-            patch.setattr(np, "argsort",
-                          lambda *args, **kwargs: calls.append("argsort") or argsort(*args, **kwargs))
-            order = tv.core._stable_order(values)
-        branches = {(): "identity", ("keyed",): "keyed",
-                    ("keyed", "argsort"): "fallback", ("argsort",): "argsort"}
-        return order, branches[tuple(calls)]
+            patch.setattr(np, "argsort", lambda values, *args, **kwargs: calls.append(
+                "argsort" if any(values is v for v in inputs) else "repair")
+                or argsort(values, *args, **kwargs))
+            result = order_fn(*args)
+        if not calls:
+            identity = np.array_equal(result, np.arange(len(result)))
+            return result, "identity" if identity else "reversed"
+        branches = {("argsort",): "argsort", ("keyed",): "keyed",
+                    ("keyed", "repair"): "repaired", ("keyed", "argsort"): "fallback"}
+        return result, branches[tuple(calls)]
 
     @pytest.mark.parametrize("case", ORDER_CASES)
     def test_equals_stable_argsort(self, monkeypatch, case):
         values, branch = ORDER_CASES[case]
         want = np.argsort(values, kind="stable")
-        order, taken = self.stable_order_branch(monkeypatch, values)
+        order, taken = self.ordered_with_branch(monkeypatch, tv.core._monotone_order, values)
         assert taken == branch
         assert order.dtype == want.dtype and np.array_equal(order, want)
+        if branch not in ("identity", "reversed"):
+            assert np.array_equal(tv.core._stable_order(values), want)
+
+    @pytest.mark.parametrize("case", MERGED_CASES)
+    def test_merged_order(self, monkeypatch, case):
+        """B's order is its own stable argsort, and each threshold's suffix
+        index is its searchsorted in B's sorted ratios, side="right"."""
+        ratio_b, threshold_a, branch = MERGED_CASES[case]
+        (order, first), taken = self.ordered_with_branch(
+            monkeypatch, tv.core._merged_order, ratio_b, threshold_a)
+        assert taken == branch
+        want = np.argsort(ratio_b, kind="stable")
+        assert order.dtype == want.dtype and np.array_equal(order, want)
+        assert np.array_equal(first, np.searchsorted(ratio_b[want], threshold_a, side="right"))
 
     def test_every_branch_taken(self):
         assert {branch for _, branch in ORDER_CASES.values()} == {
-            "identity", "keyed", "fallback", "argsort"}
+            "identity", "reversed", "keyed", "repaired", "fallback", "argsort"}
+        assert {branch for *_, branch in MERGED_CASES.values()} == {
+            "keyed", "repaired", "fallback", "argsort"}
 
     @pytest.mark.parametrize("case", ORDER_CASES)
     def test_keyed_order(self, case):
-        """Half A's search order is a permutation, and the stable argsort's
-        unless two values differ only in the keys' dropped low bits or are
-        zeros of both signs (-0.0 sorts below 0.0)."""
+        """The keyed order is a permutation, and the stable argsort's unless
+        two values differ only in the keys' dropped low bits; -0.0 is keyed
+        as 0.0, so signed zeros keep their index order."""
         values, _ = ORDER_CASES[case]
         order = tv.core._keyed_order(values)
         assert np.array_equal(np.sort(order), np.arange(values.size))
-        if case not in ("dropped low bits differ", "signed zeros"):
+        if case != "dropped low bits differ":
             assert np.array_equal(order, np.argsort(values, kind="stable"))
 
 

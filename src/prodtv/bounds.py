@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import (FiniteProductPair, MarginalTV, ProbVector, _as_pair, _l2_norm, _params,
-                   _row_sums, _unchecked)
+                   _readonly, _row_sums, _unchecked)
 from .reduce import ScheffeReduction, scheffe_reduce
 
 __all__ = [
@@ -184,10 +184,14 @@ def kl_bracket(pair: FiniteProductPair) -> tuple:
     of |x log(x/y)| over all states: each term rounds by at most 24 * 2**-53 of
     itself (logs off by up to 4 ulps), and its row sum and the fold over the n
     rows by the length of their chains. The terms cancel when P and Q are close,
-    so S, not KL, sets the scale: the bound can exceed KL itself.
+    so S, not KL, sets the scale: the bound can exceed KL itself. A computed
+    KL below 0, which only that rounding can give, raises ValueError naming it.
     """
     pair = _as_pair(pair)
     kl = _kl_divergence(pair)
+    if kl < 0.0:
+        raise ValueError(f"the KL sum of the stored masses is {kl!r}, below 0: KL is "
+                         "nonnegative, so its terms cancelled within their rounding error")
     upper = min(1.0, math.sqrt(0.5 * kl))
     if math.isinf(kl):
         return None, upper
@@ -309,7 +313,7 @@ def bounds_report(pair: FiniteProductPair) -> BoundsReport:
     bounds["lower_hellinger"], bounds["upper_hellinger"] = hellinger_bracket(active_pair)
     bounds["lower_kl"], bounds["upper_pinsker"] = kl_bracket(active_pair)
     if symmetric:
-        symmetric_p = _unchecked(ProbVector, params=p_active)
+        symmetric_p = _unchecked(ProbVector, params=_readonly(p_active))
         bounds["upper_symmetric"] = symmetric_l2_upper_bound(symmetric_p)
         bounds["upper_affinity"] = symmetric_affinity_upper_bound(symmetric_p)
 

@@ -45,6 +45,8 @@ DEFAULT_BUDGET_LOG2 = 26
 MASS_TOLERANCE = 1e-9
 
 _MC_BATCH = 1 << 16
+# Raw Philox words drawn at a time: 512 KiB.
+_MC_BLOCK_WORDS = 1 << 16
 _RANGE_SLACK = 1e-12
 
 
@@ -61,8 +63,9 @@ class EnumerationBudgetError(RuntimeError):
 
 
 def _unit_interval_vector(values, what: str) -> np.ndarray:
-    """A fresh float64 copy of a non-empty 1-D vector with entries in [0, 1];
-    entries up to _RANGE_SLACK outside are clipped, anything else raises."""
+    """A fresh read-only float64 copy of a non-empty 1-D vector with entries
+    in [0, 1]; entries up to _RANGE_SLACK outside are clipped, anything else
+    raises."""
     try:
         arr = np.atleast_1d(np.array(values, dtype=np.float64))
     except (TypeError, ValueError):  # ragged nesting, or entries that are not numbers
@@ -70,14 +73,14 @@ def _unit_interval_vector(values, what: str) -> np.ndarray:
     if arr is None or arr.ndim != 1 or arr.size == 0:
         raise InvalidDistributionError(f"{what} must be a non-empty 1-D vector")
     if arr.min() >= 0.0 and arr.max() <= 1.0:  # False on NaN
-        return arr
+        return _readonly(arr)
     if not np.all(np.isfinite(arr)):
         raise InvalidDistributionError(f"{what} contains non-finite entries")
     bad = (arr < -_RANGE_SLACK) | (arr > 1.0 + _RANGE_SLACK)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise InvalidDistributionError(f"{what}[{i}] = {arr[i]!r} outside [0, 1]")
-    return np.clip(arr, 0.0, 1.0)
+    return _readonly(np.clip(arr, 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -763,6 +766,13 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
     draws and the same bits as comparing ``Generator.random`` with p_i; p_i = 1
     gives the cut 2**53 (always a one) and p_i = 0 the cut 0 (never).
 
+    Memory: one (n, m) array of outcome bits, one byte each, for the
+    largest batch m = min(samples, 65536), which every batch reuses, plus
+    words drawn in blocks of max(1, 65536 // n) samples: at most 512 KiB of
+    words for n <= 65536 (one sample's n words past that). The blocks take
+    the stream in the same order as one (m, n) draw would, and every batch
+    sum is formed over the whole batch, so the block size changes no bit.
+
     Each sample's log-likelihood ratio log Q(X) - log P(X) is summed one
     coordinate at a time, left to right, from log q_i - log p_i for a one and
     log1p(-q_i) - log1p(-p_i) for a zero; the term is -expm1(min(llr, 0)),
@@ -798,14 +808,19 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
     bit_gen = np.random.Philox(key=int(seed))
     batch_sums = []
     done = 0
+    # Outcome bits (True for a one), one row per coordinate; a batch of m
+    # samples fills the first m columns block by block from the words'
+    # transposed view, and each row's first m bytes are contiguous.
+    bits = np.empty((pa.size, min(_MC_BATCH, samples)), dtype=bool)
+    rows = max(1, _MC_BLOCK_WORDS // pa.size)
     while done < samples:
         m = min(_MC_BATCH, samples - done)
-        words = bit_gen.random_raw((m, pa.size))
-        words >>= np.uint64(11)
-        # Outcome bits (1 for a one), one contiguous row per coordinate.
-        bits = np.ascontiguousarray((words < cuts).T).view(np.uint8)
+        for start in range(0, m, rows):
+            words = bit_gen.random_raw((min(rows, m - start), pa.size))
+            words >>= np.uint64(11)
+            np.less(words.T, cuts[:, None], out=bits[:, start:start + len(words)])
         llr = np.zeros(m)
-        for coord_bits, coord_ratios in zip(bits, log_ratios):
+        for coord_bits, coord_ratios in zip(bits[:, :m].view(np.uint8), log_ratios):
             llr += coord_ratios.take(coord_bits)
         terms = -np.expm1(np.minimum(llr, 0.0))
         batch_sums.append(float(terms.sum()))

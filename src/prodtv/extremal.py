@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ProbVector, _check_budget, _l2_norm, _positive_int, _product_block,
-                   exact_tv_equal_marginals)
+                   _unchecked, exact_tv_equal_marginals)
 
 __all__ = [
     "GapInstance",
@@ -113,13 +113,18 @@ def gap_instance(n: int) -> GapInstance:
     Besides the four parameter vectors it carries the scalars of
     ``_gap_scalars``, tv_pq by its closed form -expm1(n log1p(-1/n)) within
     4 * 2**-53; callers that need only those (``prodtv gap`` and ``prodtv
-    sweep``) read them there and build no vector of length n.
+    sweep``) read them there.
+
+    Memory: O(1) at any n. Each parameter vector is a read-only view of one
+    double broadcast to length n, with the values of ``np.full(n, value)``;
+    the values lie in [0, 1] by construction and are not validated again.
     """
     n = _positive_int(n, "n")
     inv = 1.0 / n
-    return GapInstance(n, ProbVector(np.full(n, inv)), ProbVector(np.zeros(n)),
-                       ProbVector(np.full(n, 0.5 + 0.5 * inv)),
-                       ProbVector(np.full(n, 0.5 - 0.5 * inv)), *_gap_scalars(n))
+    p, q, p_prime, q_prime = (
+        _unchecked(ProbVector, params=np.broadcast_to(np.float64(value), (n,)))
+        for value in (inv, 0.0, 0.5 + 0.5 * inv, 0.5 - 0.5 * inv))
+    return GapInstance(n, p, q, p_prime, q_prime, *_gap_scalars(n))
 
 
 def gap_ratio_exact(n: int) -> float:

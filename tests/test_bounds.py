@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,16 @@ class TestKLBracket:
         assert upper == pytest.approx(math.sqrt(kl / 2.0), abs=1e-12)
         exact = tv.exact_tv_bernoulli([0.6, 0.6], [0.5, 0.5])
         assert lower is not None and lower - 1e-12 <= exact <= upper + 1e-12
+
+    def test_negative_kl_sum_names_its_value(self):
+        # Both terms of the first coordinate are subnormal, and their rounded
+        # sum is below 0, which no true KL is.
+        pair = tv.FiniteProductPair.from_bernoulli([5e-324, 0.5], [1e-300, 0.5])
+        kl = _kl_divergence(pair)
+        assert kl < 0.0
+        message = f"KL sum of the stored masses is {kl!r}, below 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tv.kl_bracket(pair)
 
     def test_gate_requires_small_p_min(self):
         # P_min = 0.5 fails the strict gate even though KL is finite

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -1180,6 +1181,16 @@ class TestArrayForm:
         with pytest.raises(ValueError):
             pair.p_masses[0, 0] = 1.0
 
+    @pytest.mark.parametrize("values", [[0.2, 0.7], [1.0 + 1e-13, -1e-13]],
+                             ids=["in-range", "clipped"])
+    def test_vectors_are_read_only(self, values):
+        source = np.array(values)
+        for arr in (tv.ProbVector(source).params, tv.MarginalTV(source).deltas):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert source.flags.writeable  # the input is copied, not frozen
+
     def test_sides_round_trip_bit_for_bit(self):
         rng = np.random.default_rng(120)
         pair = random_product_pair(rng, n_max=6, support_max=5)
@@ -1334,12 +1345,16 @@ class TestMonteCarlo:
         assert est.value == pytest.approx(mc_product_reference(p, q, 5000, 8),
                                           rel=0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n, samples", [(1, 1), (300, 1), (4, 65535), (5, 65536),
-                                            (6, 65537), (3, 131073), (300, 700), (60, 3000)])
+    @pytest.mark.parametrize("n, samples", [
+        (1, 1), (300, 1), (4, 65535), (5, 65536), (6, 65537), (3, 131073), (300, 700),
+        (60, 3000), (65536, 3), (65537, 2), (3, 65536 + 21846), (5, 65536 + 1000)])
     def test_matches_generator_reference_bit_for_bit(self, n, samples):
         # The edge parameters sit at either end of the comparison: 0 and 1 are
         # never and always a one, 5e-324 only when w >> 11 is 0, and 1 - 1e-16
-        # unless w >> 11 is 2**53 - 1.
+        # unless w >> 11 is 2**53 - 1. Words are drawn in blocks of
+        # max(1, 65536 // n) samples: one sample at n = 65536 and 65537; at
+        # n = 3 a block holds 21845, so each batch ends one row into a block;
+        # at n = 5 the last batch of 1000 is shorter than one block of 13107.
         rng = np.random.default_rng(1000 + n + samples)
         for _ in range(3):
             p, q = rng.random(n), rng.random(n)
@@ -1351,6 +1366,24 @@ class TestMonteCarlo:
             seed = int(rng.integers(1 << 31))
             assert (tv.mc_tv_estimate(p, q, samples=samples, seed=seed).value.hex()
                     == mc_estimate_reference(p, q, samples, seed).hex()), (n, samples, seed)
+
+    @pytest.mark.parametrize("n, samples, limit", [
+        (1000, 20_000, 20_000 * 1000 + 2 * 2 ** 20),
+        (400, 100_000, 65536 * 400 + 4 * 2 ** 20)])
+    def test_memory_is_one_byte_per_bit_plus_a_block_of_words(self, n, samples, limit):
+        # The largest batch's outcome bits as bytes, which the last batch
+        # reuses, at most 512 KiB of words at a time, and a few float64
+        # arrays of one batch's length (512 KiB each at 65536 samples). At
+        # n = 1000 one batch's words drawn at once would be 160 MB, and at
+        # n = 400 a second array for the last batch's bits 13.8 MB.
+        p, q = np.random.default_rng(130).random((2, n))
+        tracemalloc.start()
+        try:
+            tv.mc_tv_estimate(p, q, samples=samples, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, peak
 
     def test_impossible_states_count_as_one(self):
         # Q cannot produce a one in the first coordinate; elsewhere P = Q, so

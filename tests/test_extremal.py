@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,27 @@ class TestGapInstance:
         assert inst.tv_pq == pytest.approx(0.68359375, abs=1e-15)
         assert inst.tv_pq_prime_upper == 0.5
         assert inst.ratio_lower == pytest.approx(1.3671875, abs=1e-12)
+
+    def test_params_are_np_full_vectors(self):
+        for n in range(1, 65):
+            inst = tv.gap_instance(n)
+            for vector, value in ((inst.p, 1.0 / n), (inst.q, 0.0),
+                                  (inst.p_prime, 0.5 + 0.5 / n), (inst.q_prime, 0.5 - 0.5 / n)):
+                assert vector.params.tobytes() == np.full(n, value).tobytes()
+                assert vector.n == n
+
+    def test_memory_does_not_grow_with_n(self):
+        tracemalloc.start()
+        try:
+            inst = tv.gap_instance(10 ** 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        for vector in (inst.p, inst.q, inst.p_prime, inst.q_prime):
+            assert len(vector) == 10 ** 12
+            assert not vector.params.flags.writeable
+        assert inst.p.params[-1] == 1e-12 and inst.q_prime.params[0] == 0.5 - 0.5e-12
 
     def test_equal_l2_norms(self):
         for n in (1, 2, 3, 7, 50, 999):

@@ -180,15 +180,6 @@ class FiniteDist:
         return np.array(self.masses, dtype=dtype, copy=copy)
 
 
-def _unpadded(masses: np.ndarray, sizes: list):
-    """The rows of a padded mass array, each cut to its support size from the
-    list ``sizes``: the array itself when no row is padded, since iterating it
-    gives the rows."""
-    if min(sizes) == masses.shape[1]:
-        return masses
-    return [row[:k] for row, k in zip(masses, sizes)]
-
-
 def _unchecked(cls, **fields):
     """An instance of a frozen dataclass around fields that are valid already."""
     obj = object.__new__(cls)
@@ -240,13 +231,13 @@ class FiniteProductPair:
 
     @property
     def p_side(self) -> tuple:
-        return tuple(_unchecked(FiniteDist, masses=row)
-                     for row in _unpadded(self.p_masses, self.support_sizes.tolist()))
+        return tuple(_unchecked(FiniteDist, masses=row[:k])
+                     for row, k in zip(self.p_masses, self.support_sizes.tolist()))
 
     @property
     def q_side(self) -> tuple:
-        return tuple(_unchecked(FiniteDist, masses=row)
-                     for row in _unpadded(self.q_masses, self.support_sizes.tolist()))
+        return tuple(_unchecked(FiniteDist, masses=row[:k])
+                     for row, k in zip(self.q_masses, self.support_sizes.tolist()))
 
     def joint_support(self) -> int:
         """The product of the support sizes, as a Python int (an int64 one wraps
@@ -369,10 +360,10 @@ def _check_budget(sizes, budget_log2: int | None, n: int | None = None) -> None:
                                          f"enumeration budget (n = {n or len(sizes)})")
 
 
-def _product_block(rows, op=np.multiply) -> np.ndarray:
+def _product_block(rows, op) -> np.ndarray:
     """Joint values over the given coordinates, mixed-radix indexed with the
     newest coordinate outermost: ``op`` of one entry of each row, folded from
-    op's identity (joint masses by default, sign sums with np.add)."""
+    op's identity (sign sums with np.add)."""
     block = np.full(1, float(op.identity))
     for row in rows:
         block = op.outer(row, block).reshape(-1)
@@ -418,28 +409,33 @@ def _live(mass_p: np.ndarray, mass_q: np.ndarray) -> tuple:
     return mass_p[kept], mass_q[kept]
 
 
-def _fold(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``_product_block`` for m blocks at once: ``block`` (m, N) and ``rows``
-    (m, steps, k) give the (m, N k**steps) blocks that fold row ``rows[i, s]``
-    onto ``block[i]`` one step s at a time, newest coordinate outermost."""
-    for step in range(rows.shape[1]):
-        block = (rows[:, step, :, None] * block[:, None, :]).reshape(len(block), -1)
+def _fold(block: np.ndarray, rows: np.ndarray, sizes: list) -> np.ndarray:
+    """Joint masses of m blocks at once: ``block`` (m, N) and zero-padded
+    ``rows`` (m, steps, k_max) give the (m, N prod(sizes)) blocks that
+    multiply row ``rows[i, s]``, cut to its ``sizes[s]`` masses, onto
+    ``block[i]`` one step s at a time, mixed-radix indexed with the newest
+    coordinate outermost."""
+    for step, k in enumerate(sizes):
+        block = (rows[:, step, :k, None] * block[:, None, :]).reshape(len(block), -1)
     return block
 
 
-def _stacked_halves(p_rows: np.ndarray, q_rows: np.ndarray, split: int) -> tuple:
-    """The two halves' joint masses (P_A, Q_A), (P_B, Q_B) of (n, k) rows cut at
-    ``split``, each the bits of ``_product_block``: the halves' first
-    min(split, n - split) coordinates fold as one (4, N) block, and what is
-    left of the longer half folds onto its own two blocks alone. That is B's
-    last coordinate for odd n with k = 2; for other k the rounded log2 sizes
-    may make A the longer half."""
-    rows = np.stack((p_rows, q_rows))
-    common = min(split, len(p_rows) - split)
+def _halves(rows: np.ndarray, sizes: list, split: int) -> tuple:
+    """The two halves' joint masses (P_A, Q_A), (P_B, Q_B) of the (2, n, k_max)
+    ``rows`` cut at ``split``. When the halves' first c = min(split, n - split)
+    coordinates have the same support sizes, as on every pair of one support
+    size, those fold as one (4, N) block, and what is left of the longer half
+    folds onto its own two blocks alone: B's last coordinate for odd n with
+    k = 2, while for other k the rounded log2 sizes may make A the longer
+    half. Otherwise each half folds alone from c = 0. Each joint mass is the
+    same product of the same factors in the same order either way."""
+    common = min(split, len(sizes) - split)
+    if sizes[:common] != sizes[split:split + common]:
+        common = 0
     block = _fold(np.ones((4, 1)), np.concatenate(
-        (rows[:, :common], rows[:, split:split + common])))
-    return (_fold(block[:2], rows[:, common:split]),
-            _fold(block[2:], rows[:, split + common:]))
+        (rows[:, :common], rows[:, split:split + common])), sizes[:common])
+    return (_fold(block[:2], rows[:, common:split], sizes[common:split]),
+            _fold(block[2:], rows[:, split + common:], sizes[split + common:]))
 
 
 # At most this many values are ordered by np.argsort: below it the keys'
@@ -533,8 +529,11 @@ def _merged_order(ratio_b: np.ndarray, threshold_a: np.ndarray) -> tuple:
     return order[np.flatnonzero(in_b)], first
 
 
-def _exact_tv(p_rows, q_rows) -> float:
-    """Exact TV of two product distributions given by per-coordinate mass rows.
+def _exact_tv(rows: np.ndarray, sizes: list) -> float:
+    """Exact TV of two product distributions given by per-coordinate mass rows:
+    ``rows`` is one (2, n, k_max) array, P's and Q's masses zero-padded as
+    FiniteProductPair stores them, and ``sizes`` the list of the n support
+    sizes.
 
     TV is the sum over joint outcomes (a, b) of P_a P_b - Q_a Q_b where that is
     positive, i.e. where log P_b - log Q_b > log Q_a - log P_a. The coordinates
@@ -543,12 +542,12 @@ def _exact_tv(p_rows, q_rows) -> float:
     each outcome a's term P_a sum P_b - Q_a sum Q_b reads the suffix of the
     ratios above its threshold.
 
-    Rows given as one (n, k) array, as for every Bernoulli pair, build both
-    halves together (``_stacked_halves``); other rows build each half with
-    ``_product_block``, to the same bits. One ``_stable_order`` of B's ratios
-    and A's thresholds together gives B's order, the stable argsort's element
-    for element, so the suffix sums keep their bits, and each threshold's
-    suffix index (``_merged_order``). The terms are added in A's block order.
+    Every entry hands over rows of this one form, and ``_halves`` folds both
+    halves' joint masses from it, each row cut to its support size. One
+    ``_stable_order`` of B's ratios and A's thresholds together gives B's
+    order, the stable argsort's element for element, so the suffix sums keep
+    their bits, and each threshold's suffix index (``_merged_order``). The
+    terms are added in A's block order.
 
     A one-outcome half A (the closed form's one coordinate, where split is 0)
     reads one index of each suffix sum, so it takes just those two sums, by
@@ -562,7 +561,7 @@ def _exact_tv(p_rows, q_rows) -> float:
     threshold, so P_b > 0 there and a suffix that is not empty has a positive
     P-sum. The product P_a sum P_b is then never -0.0, subtracting a zero
     Q-product of either sign from it gives the same bits, and the result is
-    the general path's, bit for bit.
+    the scanning path's, bit for bit.
 
     Against the exact TV of the float masses it receives (Bernoulli rows taken
     as the exact complements 1 - p, p), the absolute error is at most
@@ -570,13 +569,9 @@ def _exact_tv(p_rows, q_rows) -> float:
     under 1e-13 for n <= 12 within the default budget. Identical sides give
     exactly 0.0, since no outcome passes the strict ratio test.
     """
-    log_sizes = np.concatenate(([0.0], np.cumsum([math.log2(len(r)) for r in p_rows])))
+    log_sizes = np.concatenate(([0.0], np.cumsum([math.log2(k) for k in sizes])))
     split = int(np.argmin(np.abs(2.0 * log_sizes - log_sizes[-1])))
-    if isinstance(p_rows, np.ndarray):
-        half_a, half_b = _stacked_halves(p_rows, q_rows, split)
-    else:
-        half_a = (_product_block(p_rows[:split]), _product_block(q_rows[:split]))
-        half_b = (_product_block(p_rows[split:]), _product_block(q_rows[split:]))
+    half_a, half_b = _halves(rows, sizes, split)
     mass_pa, mass_qa = _live(*half_a)
     mass_pb, mass_qb = _live(*half_b)
     with np.errstate(divide="ignore"):
@@ -599,10 +594,10 @@ def _exact_tv(p_rows, q_rows) -> float:
 
 def _exact_pair_tv(pair: FiniteProductPair, budget_log2: int | None) -> float:
     """The body of both enumeration entries: the budget rule on the support
-    sizes, then the kernel on the rows cut to them."""
+    sizes, then the kernel on the padded rows."""
     sizes = pair.support_sizes.tolist()
     _check_budget(sizes, budget_log2)
-    return _exact_tv(_unpadded(pair.p_masses, sizes), _unpadded(pair.q_masses, sizes))
+    return _exact_tv(np.stack((pair.p_masses, pair.q_masses)), sizes)
 
 
 def exact_tv_bernoulli(p, q, *, budget_log2: int | None = None, workers: int = 1) -> float:
@@ -653,41 +648,41 @@ def _bernstein_window(n: int, p: float, q: float) -> tuple:
     return min(n, max(0, math.floor(min(ends)))), min(n, math.ceil(max(ends)))
 
 
-def _binomial_rows(n: int, p: float, q: float) -> tuple:
+def _binomial_rows(n: int, p: float, q: float) -> np.ndarray:
     """Binomial(n, p) and Binomial(n, q) masses on their Bernstein window, not
-    normalized. Each row is 1.0 at its side's mode m = floor((n + 1) s), cut
-    to the window, and filled outward by cumulative products of the exact
-    mass ratios: (n - k)/(k + 1) times the odds s/(1 - s) upward, k/(n - k + 1)
-    times (1 - s)/s downward. The count ratios serve both sides. Outward from
-    the mode every ratio is at most 1, so nothing overflows and the tails
-    underflow to exact zeros. At s = 0 or 1 the odds are 0 or inf and meet
+    normalized, as the two rows of one (2, W) array. Each row is 1.0 at its
+    side's mode m = floor((n + 1) s), cut to the window, and filled outward by
+    cumulative products of the exact mass ratios: (n - k)/(k + 1) times the
+    odds s/(1 - s) upward, k/(n - k + 1) times (1 - s)/s downward. The count
+    ratios serve both sides. Outward from the mode every ratio is at most 1,
+    so nothing overflows and the tails underflow to exact zeros. At s = 0 or 1 the odds are 0 or inf and meet
     only an empty run, the mode being at that end of the window; a run below
     the mode needs m >= 1, so s >= 1/(n + 1) and dividing by the odds stays
     finite."""
     lo, hi = _bernstein_window(n, p, q)
     k = np.arange(lo, hi + 1, dtype=np.float64)
     up, down = (n - k[:-1]) / (k[:-1] + 1.0), k[1:] / (n - k[1:] + 1.0)
-    rows = []
-    for prob in (p, q):
+    rows = np.empty((2, k.size))
+    for row, prob in zip(rows, (p, q)):
         mode = min(max(math.floor((n + 1) * prob), lo), hi) - lo
         odds = prob / (1.0 - prob) if prob < 1.0 else math.inf
-        row = np.empty(k.size)
         row[mode] = 1.0
         np.cumprod(up[mode:] * odds, out=row[mode + 1:])
         np.cumprod(down[:mode][::-1] / odds, out=row[:mode][::-1])
-        rows.append(row)
-    return tuple(rows)
+    return rows
 
 
 def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     """Exact TV for constant-parameter Bernoulli products.
 
     Outcome probabilities depend only on the number of ones, so this is the
-    exact kernel (``_exact_tv``) on one coordinate: the ``_binomial_rows``
-    masses, each row divided by its computed total. When the two sides'
-    reaches (``_bernstein_window`` of p alone and of q alone) are disjoint,
-    P holds at least 1 - 2 exp(-L) of its mass where Q holds at most 2 exp(-L),
-    so TV >= 1 - 4 exp(-L) and 1.0 is returned without building rows.
+    exact kernel (``_exact_tv``) on one coordinate of W states: the
+    ``_binomial_rows`` masses, each row divided in place by its computed
+    total (numpy's row-wise sum, the bits of each row's own sum). When the
+    two sides' reaches (``_bernstein_window`` of p alone and of q alone) are
+    disjoint, P holds at least 1 - 2 exp(-L) of its mass where Q holds at
+    most 2 exp(-L), so TV >= 1 - 4 exp(-L) and 1.0 is returned without
+    building rows.
 
     Otherwise the window's W = hi - lo + 1 counts are what the kernel
     enumerates, so W takes the budget rule of every exact entry
@@ -697,10 +692,11 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     holding every count, raises ValueError naming n. The gap pair meets it
     past about n = 10**34, where its window, about 9 sqrt(n) counts wide,
     rounds to one count. A reach that overflows a double (n past about
-    2e306) raises ValueError too. The rows and the kernel hold about 75 bytes per count (a
-    tracemalloc peak of 18.4 MiB at W = 2**18, n = 8.5e8 for the gap pair,
-    and linear in W), so a window at the budget, 2**26 counts (the gap pair
-    near n = 5.6e13, past which it is refused), would take about 5 GiB.
+    2e306) raises ValueError too. The rows and the kernel hold about 58 bytes
+    per count (a tracemalloc peak of 14.4 MiB at W = 2**18, n = 8.5e8 for
+    the gap pair, and linear in W), so a window at the budget, 2**26 counts
+    (the gap pair near n = 5.6e13, past which it is refused), would take
+    about 3.6 GiB.
 
     With W counts in the window and L = _WINDOW_NATS = 40, |value - TV| is at
     most the sum of
@@ -737,8 +733,9 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     if max(hi_p, hi_q) >= 1 << 53:
         raise ValueError(f"n = {n} is too large for the closed form: its window reaches "
                          "count 2**53, past which a double does not hold every count")
-    pmf_p, pmf_q = _binomial_rows(n, p, q)
-    return _exact_tv([pmf_p / pmf_p.sum()], [pmf_q / pmf_q.sum()])
+    rows = _binomial_rows(n, p, q)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return _exact_tv(rows[:, None], [rows.shape[1]])
 
 
 def marginal_tv(pair: FiniteProductPair) -> MarginalTV:

@@ -33,6 +33,8 @@ __all__ = [
 LOWTHER_RATIO_BOUND = 1.0 / (1.0 / math.sqrt(2.0) - 0.25)
 # Sign-pattern enumeration cap: 2**n patterns.
 MAX_SIGN_ENUM_BITS = 20
+# The longest float64 array numpy can index: its byte size must fit an intp.
+_MAX_DOUBLES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +120,13 @@ def gap_instance(n: int) -> GapInstance:
     Memory: O(1) at any n. Each parameter vector is a read-only view of one
     double broadcast to length n, with the values of ``np.full(n, value)``;
     the values lie in [0, 1] by construction and are not validated again.
+    numpy indexes no array of doubles past n = 2**60 - 1 on a 64-bit host
+    (n * 8 bytes must fit an intp), so a larger n raises ValueError naming n.
     """
     n = _positive_int(n, "n")
+    if n > _MAX_DOUBLES:
+        raise ValueError(f"n = {n} is too large for gap_instance: a numpy array "
+                         f"holds at most {_MAX_DOUBLES} doubles")
     inv = 1.0 / n
     p, q, p_prime, q_prime = (
         _unchecked(ProbVector, params=np.broadcast_to(np.float64(value), (n,)))

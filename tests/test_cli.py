@@ -547,6 +547,32 @@ BOUNDS_GENERAL_MIXED = """\
 }
 """
 
+BOUNDS_GENERAL_MIXED_EXACT = """\
+{
+  "schema_version": 1,
+  "kind": "general",
+  "n": 3,
+  "delta_linf": 0.29999999999999993,
+  "delta_l2": 0.43874821936960606,
+  "delta_l1": 0.7499999999999999,
+  "lower_trivial": 0.29999999999999993,
+  "lower_l2": 0.07888692984265516,
+  "lower_hellinger": 0.1819473047994704,
+  "lower_kl": null,
+  "upper_trivial": 0.7499999999999999,
+  "upper_hellinger": 0.5751432759540439,
+  "upper_pinsker": 1.0,
+  "upper_symmetric": null,
+  "upper_affinity": null,
+  "best_lower": 0.29999999999999993,
+  "best_lower_source": "trivial",
+  "best_upper": 0.5751432759540439,
+  "best_upper_source": "hellinger",
+  "ratio": 1.9171442531801468,
+  "exact_tv": 0.4025
+}
+"""
+
 BOUNDS_SYMMETRIC_PADDED_EXACT = """\
 {
   "schema_version": 1,
@@ -711,11 +737,12 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("doc, command, expected", [
         (BERNOULLI_EDGES, ["bounds"], BOUNDS_BERNOULLI_EDGES),
         (GENERAL_MIXED, ["bounds"], BOUNDS_GENERAL_MIXED),
+        (GENERAL_MIXED, ["bounds", "--exact"], BOUNDS_GENERAL_MIXED_EXACT),
         (SYMMETRIC_PADDED, ["bounds", "--exact"], BOUNDS_SYMMETRIC_PADDED_EXACT),
         (GENERAL_MIXED, ["reduce"], REDUCE_GENERAL_MIXED),
         (CHANNEL_CASES, ["symmetrize"], SYMMETRIZE_CHANNEL_CASES),
     ], ids=["bounds-bernoulli-edges", "bounds-general-mixed",
-            "bounds-symmetric-padded-exact", "reduce-general-mixed",
+            "bounds-general-mixed-exact", "bounds-symmetric-padded-exact", "reduce-general-mixed",
             "symmetrize-channel-cases"])
     def test_stdout_bytes(self, tmp_path, capsys, doc, command, expected):
         path = write_instance(tmp_path, doc)

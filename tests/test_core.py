@@ -181,7 +181,7 @@ class TestBudgetRule:
             tv.exact_tv_bernoulli([0.5] * 15000, [0.4] * 15000)
 
     def test_refusal_builds_no_rows(self, monkeypatch):
-        monkeypatch.setattr(tv.core, "_unpadded", lambda *args: pytest.fail("rows built"))
+        monkeypatch.setattr(tv.core, "_exact_tv", lambda *args: pytest.fail("kernel reached"))
         sizes = [3] * 100_000
         pair = tv.FiniteProductPair([[0.2, 0.3, 0.5]] * len(sizes),
                                     [[0.5, 0.3, 0.2]] * len(sizes))
@@ -452,10 +452,21 @@ class TestEqualMarginals:
             tv.exact_tv_equal_marginals(3, 1.5, 0.5)
 
 
+def kernel(p_rows, q_rows):
+    """``_exact_tv`` on per-coordinate mass rows of any lengths, zero-padded
+    into the one (2, n, k_max) array it takes."""
+    sizes = [len(row) for row in p_rows]
+    rows = np.zeros((2, len(sizes), max(sizes)))
+    for side, side_rows in zip(rows, (p_rows, q_rows)):
+        for padded, row in zip(side, side_rows):
+            padded[:len(row)] = row
+    return tv.core._exact_tv(rows, sizes)
+
+
 def kernel_on_rows(n, p, q):
     """The exact kernel on the _binomial_rows, each divided by its total."""
     rows = tv.core._binomial_rows(n, p, q)
-    return tv.core._exact_tv(*([row / row.sum()] for row in rows))
+    return kernel(*([row / row.sum()] for row in rows))
 
 
 def reaches_overlap(n, p, q):
@@ -698,15 +709,15 @@ class TestScanTotal:
         for _ in range(300):
             pa, qa = random_bernoulli_pair(rng, 14)
             rows = (np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
-            assert (tv.core._exact_tv(*rows).hex()
+            assert (kernel(*rows).hex()
                     == exact_kernel_reference(*rows).hex()), (pa, qa)
         for _ in range(300):
             pair = random_product_pair(rng, n_max=8, support_max=5)
             rows = ([d.masses for d in pair.p_side], [d.masses for d in pair.q_side])
-            assert (tv.core._exact_tv(*rows).hex()
+            assert (kernel(*rows).hex()
                     == exact_kernel_reference(*rows).hex())
         for case, rows in GENERAL_CONTRACT.items():
-            assert (tv.core._exact_tv(*rows).hex()
+            assert (kernel(*rows).hex()
                     == exact_kernel_reference(*rows).hex()), case
         # Large halves, where the order in which half A is searched matters,
         # and pairs whose half-outcomes tie in ratio.
@@ -729,30 +740,47 @@ class TestScanTotal:
                       (rng.choice(values, n), rng.choice(values, n))]
         for pa, qa in pairs:
             rows = (np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1))
-            assert (tv.core._exact_tv(*rows).hex()
+            assert (kernel(*rows).hex()
                     == exact_kernel_reference(*rows).hex()), (pa, qa)
 
-    def test_kernel_bit_identical_three_state_and_mixed_rows(self):
-        """Uniform three-state rows, given as one (n, 3) array, build both
-        halves as one block; at n = 11 the rounded log2 sizes put the split at
-        6, so half A has the last coordinate to fold alone. Rows of mixed
-        sizes build each half on its own. Some states are null on both
-        sides, so outcomes are dropped."""
+    def test_kernel_bit_identical_three_state_and_mixed_rows(self, monkeypatch):
+        """Uniform three-state rows fold both halves as one block; at n = 11
+        the rounded log2 sizes put the split at 6, so half A has the last
+        coordinate to fold alone. Rows of mixed sizes fold as one block where
+        the halves' first coordinates have the same sizes ([3, 2, 4] twice,
+        split at 3), and each half alone where they do not. Some states are
+        null on both sides, so outcomes are dropped."""
         rng = np.random.default_rng(408)
         for n in range(1, 12):
             rows = rng.dirichlet(np.ones(3), (2, n))
             null = rng.random((n, 3)) < 0.15
             null[np.arange(n), rng.integers(3, size=n)] = False  # each row keeps a state
             rows[:, null] = 0.0
-            p_rows, q_rows = rows / rows.sum(axis=2, keepdims=True)
-            assert (tv.core._exact_tv(p_rows, q_rows).hex()
-                    == exact_kernel_reference(p_rows, q_rows).hex()), (p_rows, q_rows)
-        for sizes in ([2, 3, 4, 2, 3, 4, 2, 5], [5, 1, 3, 2, 2, 3, 4]):
-            pair = tv.FiniteProductPair(*([rng.dirichlet(np.ones(k)) for k in sizes]
-                                          for _ in range(2)))
-            rows = [tv.core._unpadded(masses, sizes) for masses in (pair.p_masses, pair.q_masses)]
-            assert isinstance(rows[0], list)
-            assert tv.core._exact_tv(*rows).hex() == exact_kernel_reference(*rows).hex(), sizes
+            rows /= rows.sum(axis=2, keepdims=True)
+            assert (tv.core._exact_tv(rows, [3] * n).hex()
+                    == exact_kernel_reference(*rows).hex()), rows
+        fold, steps_folded = tv.core._fold, []
+
+        def counting_fold(block, rows, sizes):
+            steps_folded.append((len(block), len(sizes)))
+            return fold(block, rows, sizes)
+
+        monkeypatch.setattr(tv.core, "_fold", counting_fold)
+        for sizes, together in (([2, 3, 4, 2, 3, 4, 2, 5], False), ([5, 1, 3, 2, 2, 3, 4], False),
+                                ([3, 2, 4, 3, 2, 4], True), ([3, 3, 2, 3, 3, 4], False),
+                                ([3, 2, 4, 3, 2, 4, 2], True)):
+            for null_state in (False, True):
+                p_rows, q_rows = ([rng.dirichlet(np.ones(k)) for k in sizes] for _ in range(2))
+                if null_state:  # state 0 of each half's end null on both sides
+                    for row in (p_rows[0], q_rows[0], p_rows[-1], q_rows[-1]):
+                        row[0] = 0.0
+                        row /= row.sum()
+                pair = tv.FiniteProductPair(p_rows, q_rows)
+                steps_folded.clear()
+                value = tv.core._exact_tv(np.stack((pair.p_masses, pair.q_masses)), sizes)
+                assert ((4, 3) in steps_folded) == together, (sizes, steps_folded)
+                assert value.hex() == exact_kernel_reference(
+                    [d.masses for d in pair.p_side], [d.masses for d in pair.q_side]).hex(), sizes
 
     @pytest.mark.parametrize("width", [1, 2, 3, 1024, 1025, 2 ** 13 + 1, 12619])
     def test_one_coordinate_bit_identical(self, width):
@@ -767,7 +795,7 @@ class TestScanTotal:
         with np.errstate(divide="ignore"):
             assert (np.diff(np.log(p_row) - np.log(q_row)) >= 0.0).all()  # the identity order
         for rows in (([p_row], [q_row]), ([q_row], [p_row])):
-            assert tv.core._exact_tv(*rows).hex() == exact_kernel_reference(*rows).hex()
+            assert kernel(*rows).hex() == exact_kernel_reference(*rows).hex()
 
     def test_one_coordinate_general_bit_identical(self):
         """General one-coordinate rows with states null on both sides, on P's
@@ -782,7 +810,7 @@ class TestScanTotal:
             p_row, q_row = rows / rows.sum(axis=1, keepdims=True)
             tied = rng.random(size) < rng.choice([0.0, 0.3])
             q_row[tied] = p_row[tied]
-            assert (tv.core._exact_tv([p_row], [q_row]).hex()
+            assert (kernel([p_row], [q_row]).hex()
                     == exact_kernel_reference([p_row], [q_row]).hex()), (size, p_row, q_row)
 
     def test_closed_form_runs_no_scan(self, monkeypatch):
@@ -792,6 +820,23 @@ class TestScanTotal:
             assert tv.gap_ratio_exact(n) >= 1.0
             for p, q in [(1.0 / n, 0.0), (0.3, 0.3), (0.3, 0.31), (0.9, 0.1)]:
                 assert 0.0 <= tv.exact_tv_equal_marginals(n, p, q) <= 1.0
+
+    def test_exact_entries_reach_no_product_block(self, monkeypatch):
+        """Every exact entry hands the kernel one padded array, whose halves
+        fold in ``_halves``: ragged, uniform and one-coordinate pairs, and
+        the closed form's one coordinate."""
+        monkeypatch.setattr(tv.core, "_product_block",
+                            lambda *args: pytest.fail("_product_block called"))
+        ragged = tv.FiniteProductPair([[0.25, 0.75], [0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]],
+                                      [[0.5, 0.5], [0.0, 0.6, 0.4], [0.25] * 4])
+        uniform = tv.FiniteProductPair([[0.2, 0.3, 0.5]] * 4, [[0.5, 0.3, 0.2]] * 4)
+        single = tv.FiniteProductPair([[0.2, 0.3, 0.5]], [[0.5, 0.3, 0.2]])
+        for pair in (ragged, uniform, single):
+            assert 0.0 < tv.exact_tv_general(pair) <= 1.0
+        for p, q in (([0.3, 0.6, 0.9], [0.5, 0.5, 0.1]), ([0.3], [0.6])):
+            assert 0.0 < tv.exact_tv_bernoulli(p, q) <= 1.0
+        for n in (1, 7, 1000):
+            assert 0.0 < tv.exact_tv_equal_marginals(n, 0.3, 0.31) <= 1.0
 
 
 def _order_cases():
@@ -833,8 +878,8 @@ ORDER_CASES = _order_cases()
 def _kernel_halves(pa, qa):
     """Half B's log ratios and half A's thresholds, as the kernel forms them,
     for the Bernoulli pair (pa, qa)."""
-    p_rows, q_rows = np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1)
-    half_a, half_b = tv.core._stacked_halves(p_rows, q_rows, pa.size // 2)
+    rows = np.stack((np.stack((1.0 - pa, pa), axis=1), np.stack((1.0 - qa, qa), axis=1)))
+    half_a, half_b = tv.core._halves(rows, [2] * pa.size, pa.size // 2)
     with np.errstate(divide="ignore"):
         return (np.log(half_b[0]) - np.log(half_b[1]),
                 np.log(half_a[1]) - np.log(half_a[0]))

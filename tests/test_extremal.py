@@ -50,6 +50,19 @@ class TestGapInstance:
             assert not vector.params.flags.writeable
         assert inst.p.params[-1] == 1e-12 and inst.q_prime.params[0] == 0.5 - 0.5e-12
 
+    def test_largest_vector_length_builds(self):
+        n = np.iinfo(np.intp).max // 8  # 2**60 - 1 on a 64-bit host
+        inst = tv.gap_instance(n)
+        assert len(inst.p) == n and inst.q_prime.params[-1] == 0.5 - 0.5 / n
+
+    @pytest.mark.parametrize("n", [np.iinfo(np.intp).max // 8 + 1, 10 ** 20],
+                             ids=["2**60", "10**20"])
+    def test_past_numpy_array_limit_names_n(self, n):
+        """numpy's own errors ("array is too big", "Maximum allowed dimension
+        exceeded") name neither n nor the limit."""
+        with pytest.raises(ValueError, match=rf"^n = {n} is too large for gap_instance"):
+            tv.gap_instance(n)
+
     def test_equal_l2_norms(self):
         for n in (1, 2, 3, 7, 50, 999):
             inst = tv.gap_instance(n)

@@ -36,11 +36,11 @@ from .core import (
     InvalidDistributionError,
     ProbVector,
     _matched_params,
-    exact_tv_equal_marginals,
     exact_tv_general,
     mc_tv_estimate,
 )
-from .extremal import LOWTHER_RATIO_BOUND, RademacherInstance, _gap_scalars, lowther_check
+from .extremal import (LOWTHER_RATIO_BOUND, RademacherInstance, _exact_gap_tvs, _gap_scalars,
+                       lowther_check)
 from .reduce import scheffe_reduce
 from .symmetrize import apply_channel_product
 
@@ -310,8 +310,8 @@ SWEEP_COLUMNS = ("n", "tv_pq", "tv_pq_prime_exact", "tv_pq_prime_upper",
 def cmd_sweep(args) -> int:
     rows = []
     for n in _parse_n_values(args):
-        tv_pq, tv_upper, ratio_lower = _gap_scalars(n)
-        tv_prime = exact_tv_equal_marginals(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n)
+        _, tv_upper, ratio_lower = _gap_scalars(n)
+        tv_pq, tv_prime = _exact_gap_tvs(n)
         ratio = tv_pq / tv_prime
         rows.append((n, tv_pq, tv_prime, tv_upper, ratio, ratio_lower, ratio / math.sqrt(n)))
     _emit_rows(SWEEP_COLUMNS, rows, args.format)

@@ -547,19 +547,6 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     return order[np.argsort(ordered, kind="stable")]
 
 
-def _monotone_order(values: np.ndarray) -> np.ndarray:
-    """``_stable_order(values)``, with no sort for more than _ARGSORT_MAX values
-    that are already non-decreasing (the identity), such as the closed
-    form's rows with p > q, or strictly descending (the reversal), such as
-    its rows with p < q."""
-    if values.size > _ARGSORT_MAX:
-        if (values[1:] >= values[:-1]).all():
-            return np.arange(values.size)
-        if (values[1:] < values[:-1]).all():
-            return np.arange(values.size)[::-1]
-    return _stable_order(values)
-
-
 def _merged_order(ratio_b: np.ndarray, threshold_a: np.ndarray) -> tuple:
     """Half B's stable order, and for each threshold of half A the number of
     B's ratios at most it, ``np.searchsorted`` of it with side="right" in
@@ -603,36 +590,30 @@ def _exact_tv(rows: np.ndarray, sizes: list) -> float:
     suffix from sorted index first, its P-sum at 2 r and its Q-sum at 2 r + 1.
     The terms are added in A's block order.
 
-    A one-outcome half A (the closed form's one coordinate, where split is 0)
-    reads one index of each suffix sum, so it takes just those two sums, by
-    ``_scan_total`` over B's sorted outcomes from that index, reversed, in
-    O(|B|) time and without the scan; B's order skips the sort when B's
-    ratios are monotone (``_monotone_order``). The scan's value at an index
-    is the right-aligned pairwise tree over the values up to it, which is what
-    ``_scan_total`` adds: the same additions, except that the scan skips an
-    addition of 0.0 where the tree makes it, which can change only the sign
-    of a zero sum. The suffix holds only outcomes whose log ratio passes the
-    threshold, so P_b > 0 there and a suffix that is not empty has a positive
-    P-sum. The product P_a sum P_b is then never -0.0, subtracting a zero
-    Q-product of either sign from it gives the same bits, and the result is
-    the scanning path's, bit for bit.
+    A half A of one live outcome has P_a = Q_a = 1.0: either split is 0, as
+    on the closed form's one coordinate, or each of A's coordinates has one
+    state with mass, which its normalized row holds as exactly 1.0. Then TV is
+    Scheffe's sum over B of (P_b - Q_b)+, one rounded difference per outcome,
+    and ``_scan_total`` adds the terms in B's block order, with no log, sort
+    or search. Each term is within 2**-53 of its exact value, relatively, and
+    the tree over the nonnegative terms has depth ceil(log2 |B|), so the value
+    is within (ceil(log2 |B|) + 1) * 2**-53 * TV of the exact TV of the masses
+    it receives, to first order in 2**-53.
 
-    Against the exact TV of the float masses it receives (Bernoulli rows taken
-    as the exact complements 1 - p, p), the absolute error is at most
-    (16 n + 8 log2 N + 32) * 2**-53 for n coordinates and joint support N:
-    under 1e-13 for n <= 12 within the default budget. Identical sides give
-    exactly 0.0, since no outcome passes the strict ratio test.
+    Otherwise, against the exact TV of the float masses it receives
+    (Bernoulli rows taken as the exact complements 1 - p, p), the absolute
+    error is at most (16 n + 8 log2 N + 32) * 2**-53 for n coordinates and
+    joint support N: under 1e-13 for n <= 12 within the default budget.
+    Identical sides give exactly 0.0 on either path: no outcome passes the
+    strict ratio test, and every difference P_b - Q_b is 0.
     """
     half_a, half_b = map(_live, _halves(rows, sizes, _split(sizes)))
+    if half_a.shape[1] == 1:
+        terms = half_a[0, 0] * half_b[0]
+        terms -= half_a[1, 0] * half_b[1]
+        return min(1.0, _scan_total(np.maximum(0.0, terms, out=terms)))
     ratio_b = _log_ratio(half_b)
     threshold_a = _log_ratio(half_a[::-1])
-    if threshold_a.size == 1:
-        order = _monotone_order(ratio_b)
-        first = int(np.searchsorted(ratio_b[order], threshold_a[0], side="right"))
-        suffix = order[first:][::-1]
-        term = (half_a[0, 0] * _scan_total(half_b[0][suffix])
-                - half_a[1, 0] * _scan_total(half_b[1][suffix]))
-        return min(1.0, float(max(0.0, term)))
     order, first = _merged_order(ratio_b, threshold_a)
     tails = _tails(half_b, order)
     at = 2 * (order.size - first)
@@ -741,15 +722,18 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     holding every count, raises ValueError naming n. The gap pair meets it
     past about n = 10**34, where its window, about 9 sqrt(n) counts wide,
     rounds to one count. A reach that overflows a double (n past about
-    2e306) raises ValueError too. The rows and the kernel hold about 58 bytes
-    per count (a tracemalloc peak of 14.4 MiB at W = 2**18, n = 8.5e8 for
-    the gap pair, and linear in W), so a window at the budget, 2**26 counts
-    (the gap pair near n = 5.6e13, past which it is refused), would take
-    about 3.6 GiB.
+    2e306) raises ValueError too. The rows and the kernel hold about 52 bytes
+    per count (a tracemalloc peak of 12.9 MiB at W = 2**18, n = 8.5e8 for
+    the gap pair), and up to 64 just past a power of two, where the tree of
+    ``_scan_total`` doubles, so a window at the budget, 2**26 counts (the gap
+    pair near n = 5.6e13, past which it is refused), would take about
+    3.3 GiB.
 
     With W counts in the window and L = _WINDOW_NATS = 40, |value - TV| is at
     most the sum of
-    - the kernel's bound for one coordinate, (48 + 8 log2 W) 2**-53;
+    - the kernel's one-coordinate term, (ceil(log2 W) + 1) 2**-53 TV,
+      relative to the TV of the normalized rows: one rounded difference per
+      count and their tree sum;
     - the truncation, 6 exp(-L) < 3e-17: each side has at most 2 exp(-L)
       outside the window, and the division moves the rest by as much;
     - the mass rounding, twice the per-row bound (10 W + log2 W + 30) 2**-53

@@ -143,8 +143,16 @@ def gap_ratio_exact(n: int) -> float:
     raises EnumerationBudgetError before any row is built. Past about 10**34
     the window rounds to one count past 2**53, and the call raises
     ValueError naming n (the pair's parameters are one double from 2**54)."""
+    tv_pq, tv_pq_prime = _exact_gap_tvs(n)
+    return tv_pq / tv_pq_prime
+
+
+def _exact_gap_tvs(n: int) -> tuple:
+    """(tv_pq, tv_pq_prime_exact): tv_pq of ``_gap_scalars`` and the symmetric
+    pair's TV by ``exact_tv_equal_marginals`` of (1/2 + 1/(2n), 1/2 - 1/(2n)),
+    whose errors are those of ``gap_ratio_exact``."""
     n = _positive_int(n, "n")
-    return _gap_scalars(n)[0] / exact_tv_equal_marginals(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n)
+    return _gap_scalars(n)[0], exact_tv_equal_marginals(n, 0.5 + 0.5 / n, 0.5 - 0.5 / n)
 
 
 def lowther_check(instance: RademacherInstance) -> tuple:

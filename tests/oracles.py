@@ -263,10 +263,11 @@ def binomial_row_bound(width):
 
 def equal_marginals_error_bound(n, p, q):
     """The documented bound on |exact_tv_equal_marginals(n, p, q) - TV|: the
-    kernel's one-coordinate term, the truncation and the mass rounding."""
+    kernel's one-coordinate term, relative, at its largest (TV = 1), the
+    truncation and the mass rounding."""
     lo, hi = _bernstein_window(n, p, q)
     width = hi - lo + 1
-    kernel = (48 + 8 * math.log2(width)) * 2.0 ** -53
+    kernel = (math.ceil(math.log2(width)) + 1) * 2.0 ** -53
     truncation = 6.0 * math.exp(-_WINDOW_NATS)
     return kernel + truncation + 2 * binomial_row_bound(width)
 
@@ -350,11 +351,15 @@ def half_reference(p_rows, q_rows):
 def exact_kernel_reference(p_rows, q_rows):
     """The meet-in-the-middle kernel with its own halves, half B ordered by the
     stable argsort, half A searched in block order, and the total read off
-    the full scan."""
+    the full scan. A half A of one outcome takes Scheffe's sum instead: the
+    terms (P_a P_b - Q_a Q_b)+ in B's block order, totalled by the scan."""
     log_sizes = np.concatenate(([0.0], np.cumsum([math.log2(len(r)) for r in p_rows])))
     split = int(np.argmin(np.abs(2.0 * log_sizes - log_sizes[-1])))
     mass_pa, mass_qa = half_reference(p_rows[:split], q_rows[:split])
     mass_pb, mass_qb = half_reference(p_rows[split:], q_rows[split:])
+    if mass_pa.size == 1:
+        terms = np.maximum(0.0, mass_pa[0] * mass_pb - mass_qa[0] * mass_qb)
+        return min(1.0, float(scan_reference(terms)[-1]))
     with np.errstate(divide="ignore"):
         ratio_b = np.log(mass_pb) - np.log(mass_qb)
         threshold_a = np.log(mass_qa) - np.log(mass_pa)

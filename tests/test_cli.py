@@ -726,10 +726,10 @@ SYMMETRIZE_CHANNEL_CASES = """\
 
 SWEEP_RANGE = """\
 n,tv_pq,tv_pq_prime_exact,tv_pq_prime_upper,gap_ratio_exact,ratio_lower,gap_ratio_over_sqrt_n
-1000,0.6323045752290359,0.025220823043774487,0.03162277660168379,25.07073516719012,19.995226326690368,0.7928062574320307
-31000,0.6321264924476846,0.004531618879070887,0.005679618342470648,139.49242187314942,111.2973538592926,0.7922637179063933
-61000,0.6321235742544105,0.003230518091609791,0.00404888165089458,195.67250711151988,156.12300599469137,0.7922548236283721
-91000,0.6321225801534236,0.002644949453394496,0.0033149677206589794,238.99231017143453,190.68740133245234,0.7922517937040241
+1000,0.6323045752290359,0.02522082304377445,0.03162277660168379,25.070735167190154,19.995226326690368,0.7928062574320318
+31000,0.6321264924476846,0.0045316188790708355,0.005679618342470648,139.492421873151,111.2973538592926,0.7922637179064022
+61000,0.6321235742544105,0.0032305180916098217,0.00404888165089458,195.67250711151803,156.12300599469137,0.7922548236283645
+91000,0.6321225801534236,0.0026449494533945534,0.0033149677206589794,238.99231017142935,190.68740133245234,0.7922517937040069
 """
 
 

@@ -46,8 +46,8 @@ DEFAULT_BUDGET_LOG2 = 26
 MASS_TOLERANCE = 1e-9
 
 _MC_BATCH = 1 << 16
-# Raw Philox words drawn at a time: 512 KiB.
-_MC_BLOCK_WORDS = 1 << 16
+# Raw Philox words drawn at a time: 1 MiB.
+_MC_BLOCK_WORDS = 1 << 17
 _RANGE_SLACK = 1e-12
 
 
@@ -406,14 +406,17 @@ def _scan_total(values: np.ndarray) -> float:
 
     That prefix is a pairwise tree sum over the values right-aligned in a
     zero-padded array of power-of-two length: the same additions (adding
-    0.0 is exact), so it carries the same error bound as the scan.
+    0.0 is exact), so it carries the same error bound as the scan. The tree
+    is folded level by level over the values alone: a level of odd length
+    takes one 0.0 in front, the one pad entry its first value meets, and the
+    pad's other entries only add 0.0 to 0.0.
     """
-    size = 1 << max(values.size - 1, 0).bit_length()
-    tree = np.zeros(size)
-    tree[size - values.size:] = values
+    tree = values
     while tree.size > 1:
+        if tree.size % 2:
+            tree = np.concatenate(([0.0], tree))
         tree = tree[0::2] + tree[1::2]
-    return float(tree[0])
+    return float(tree[0]) if tree.size else 0.0
 
 
 def _live(block: np.ndarray) -> np.ndarray:
@@ -722,12 +725,11 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
     holding every count, raises ValueError naming n. The gap pair meets it
     past about n = 10**34, where its window, about 9 sqrt(n) counts wide,
     rounds to one count. A reach that overflows a double (n past about
-    2e306) raises ValueError too. The rows and the kernel hold about 52 bytes
-    per count (a tracemalloc peak of 12.9 MiB at W = 2**18, n = 8.5e8 for
-    the gap pair), and up to 64 just past a power of two, where the tree of
-    ``_scan_total`` doubles, so a window at the budget, 2**26 counts (the gap
-    pair near n = 5.6e13, past which it is refused), would take about
-    3.3 GiB.
+    2e306) raises ValueError too. The rows and the kernel hold 48 bytes per
+    count (a tracemalloc peak of 12.0 MiB at W = 2**18, n = 8.6e8 for the
+    gap pair, and the same 48 just past a power of two), so a window at the
+    budget, 2**26 counts (the gap pair near n = 5.6e13, past which it is
+    refused), would take about 3.0 GiB.
 
     With W counts in the window and L = _WINDOW_NATS = 40, |value - TV| is at
     most the sum of
@@ -798,10 +800,23 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
 
     Memory: one (n, m) array of outcome bits, one byte each, for the
     largest batch m = min(samples, 65536), which every batch reuses, plus
-    words drawn in blocks of max(1, 65536 // n) samples: at most 512 KiB of
-    words for n <= 65536 (one sample's n words past that). The blocks take
+    words drawn in blocks of max(1, 131072 // n) samples: at most 1 MiB of
+    words for n <= 131072 (one sample's n words past that). The blocks take
     the stream in the same order as one (m, n) draw would, and every batch
     sum is formed over the whole batch, so the block size changes no bit.
+    Each block is freed before the next is drawn, and each batch's log
+    ratios, which become its terms in place, before the next batch allocates
+    its own, so beside the bits one block or one batch's arrays of m entries
+    (its log ratios and, one coordinate at a time, the column added to them
+    and take's int64 copy of the bits) is alive at a time.
+    glibc gives freed memory at the top of its heap back to the system once
+    it passes twice the mmap threshold, which rises to the largest block
+    glibc has unmapped, and the next call faults those pages back in. A warm
+    call reuses the pages of the call before it only while its footprint,
+    with glibc's 128 KiB pad, stays under twice its largest array: with
+    1 MiB blocks the shapes (n, samples) = (20, 20000) and (30, 10000) take
+    no minor fault a call; with 512 KiB blocks, (20, 20000), whose 400 KB of
+    bits are close to one block, took 193.
 
     Each sample's log-likelihood ratio log Q(X) - log P(X) is summed one
     coordinate at a time, left to right, from log q_i - log p_i for a one and
@@ -849,11 +864,14 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
             words = bit_gen.random_raw((min(rows, m - start), pa.size))
             words >>= np.uint64(11)
             np.less(words.T, cuts[:, None], out=bits[:, start:start + len(words)])
+            del words  # before the next block is drawn
         llr = np.zeros(m)
         for coord_bits, coord_ratios in zip(bits[:, :m].view(np.uint8), log_ratios):
             llr += coord_ratios.take(coord_bits)
-        terms = -np.expm1(np.minimum(llr, 0.0))
-        batch_sums.append(float(terms.sum()))
+        # The terms -expm1(min(llr, 0)), in place.
+        np.negative(np.expm1(np.minimum(llr, 0.0, out=llr), out=llr), out=llr)
+        batch_sums.append(float(llr.sum()))
+        del llr  # before the next batch allocates its own
         done += m
     # The terms of an identical pair are -expm1(0) = -0.0; adding 0.0 makes
     # the value 0.0 whichever way a sum of them rounds its sign.

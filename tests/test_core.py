@@ -1528,14 +1528,18 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n, samples", [
         (1, 1), (300, 1), (4, 65535), (5, 65536), (6, 65537), (3, 131073), (300, 700),
-        (60, 3000), (65536, 3), (65537, 2), (3, 65536 + 21846), (5, 65536 + 1000)])
+        (60, 3000), (65536, 3), (65537, 2), (3, 65536 + 21846), (5, 65536 + 1000),
+        (2, 65537), (3, 43691), (7, 18725)])
     def test_matches_generator_reference_bit_for_bit(self, n, samples):
         # The edge parameters sit at either end of the comparison: 0 and 1 are
         # never and always a one, 5e-324 only when w >> 11 is 0, and 1 - 1e-16
         # unless w >> 11 is 2**53 - 1. Words are drawn in blocks of
-        # max(1, 65536 // n) samples: one sample at n = 65536 and 65537; at
-        # n = 3 a block holds 21845, so each batch ends one row into a block;
-        # at n = 5 the last batch of 1000 is shorter than one block of 13107.
+        # max(1, 131072 // n) samples: two at n = 65536 and one at 65537; in
+        # the last three cases a block is one batch (n = 2) or the last block
+        # holds one sample (n = 3 and 7). The others also cover the edges of
+        # blocks of max(1, 65536 // n): at n = 3 a block held 21845, so each
+        # batch ended one row into a block, and at n = 5 the last batch of
+        # 1000 was shorter than one block of 13107.
         rng = np.random.default_rng(1000 + n + samples)
         for _ in range(3):
             p, q = rng.random(n), rng.random(n)
@@ -1553,7 +1557,7 @@ class TestMonteCarlo:
         (400, 100_000, 65536 * 400 + 4 * 2 ** 20)])
     def test_memory_is_one_byte_per_bit_plus_a_block_of_words(self, n, samples, limit):
         # The largest batch's outcome bits as bytes, which the last batch
-        # reuses, at most 512 KiB of words at a time, and a few float64
+        # reuses, at most 1 MiB of words at a time, and a few float64
         # arrays of one batch's length (512 KiB each at 65536 samples). At
         # n = 1000 one batch's words drawn at once would be 160 MB, and at
         # n = 400 a second array for the last batch's bits 13.8 MB.
@@ -1565,6 +1569,22 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak <= limit, peak
+
+    @pytest.mark.parametrize("n, samples", [(20, 20_000), (3, 200_000), (400, 100_000)])
+    def test_one_block_of_words_and_one_batch_at_a_time(self, n, samples):
+        # Above the outcome bits: one block of words, or one batch's arrays of
+        # m entries, never two of either. Drawing a block before freeing the one
+        # before it took 1026 KiB above the bits at (20, 20000) with 512 KiB
+        # blocks, and two batches' arrays overlapped at (3, 200000).
+        m = min(samples, tv.core._MC_BATCH)
+        p, q = np.random.default_rng(131).random((2, n))
+        tracemalloc.start()
+        try:
+            tv.mc_tv_estimate(p, q, samples=samples, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * m + 8 * tv.core._MC_BLOCK_WORDS + 16 * m + 64 * 1024, peak
 
     def test_impossible_states_count_as_one(self):
         # Q cannot produce a one in the first coordinate; elsewhere P = Q, so

@@ -117,8 +117,7 @@ def hellinger_bracket(pair: FiniteProductPair) -> tuple:
     Per-coordinate H_i^2 combine through the affinity product
     1 - H^2/2 = prod_i (1 - H_i^2/2).
     """
-    pair = _as_pair(pair)
-    diff = np.sqrt(pair.p_masses) - np.sqrt(pair.q_masses)
+    diff = np.subtract(*np.sqrt(_as_pair(pair).masses))
     affinity = _product(1.0 - 0.5 * _row_sums(diff * diff))
     h_sq = 2.0 * (1.0 - affinity)
     lower = 0.5 * h_sq
@@ -167,7 +166,7 @@ def _rel_entr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _kl_divergence(pair: FiniteProductPair) -> float:
     """KL(P||Q): each coordinate's _rel_entr terms summed by numpy, the
     coordinates' sums added left to right."""
-    return _left_sum(_row_sums(_rel_entr(pair.p_masses, pair.q_masses)))
+    return _left_sum(_row_sums(_rel_entr(*pair.masses)))
 
 
 def kl_bracket(pair: FiniteProductPair) -> tuple:
@@ -186,6 +185,8 @@ def kl_bracket(pair: FiniteProductPair) -> tuple:
     rows by the length of their chains. The terms cancel when P and Q are close,
     so S, not KL, sets the scale: the bound can exceed KL itself. A computed
     KL below 0, which only that rounding can give, raises ValueError naming it.
+    A Q_min that underflows to 0.0 where P_min does not raises
+    ZeroDivisionError naming the lower bound and Q_min (ROADMAP item 1).
     """
     pair = _as_pair(pair)
     kl = _kl_divergence(pair)
@@ -197,14 +198,17 @@ def kl_bracket(pair: FiniteProductPair) -> tuple:
         return None, upper
     # P_min = 0 when P puts mass 0 on a state, which leaves fewer positive
     # masses than states; otherwise P's positive masses are its states.
-    states = pair.p_masses > 0.0
+    states = pair.masses[0] > 0.0
     if np.count_nonzero(states) < pair.support_sizes.sum():
         return None, upper
     p_min, q_min = _min_mass_products(pair, states)
     if not 0.0 < p_min < 0.5:
         return None, upper
-    joint_min = min(p_min, q_min)
-    lower = kl / (2.0 * math.log(1.0 / joint_min))
+    if q_min == 0.0:
+        raise ZeroDivisionError(
+            "the KL lower bound KL / (2 log(1/m)) divides by zero: the joint minimum mass "
+            f"m = min(P_min, Q_min) is Q_min, which underflows to 0.0 (P_min = {p_min!r})")
+    lower = kl / (2.0 * math.log(1.0 / min(p_min, q_min)))
     return lower, upper
 
 
@@ -214,14 +218,14 @@ def _min_mass_products(pair: FiniteProductPair, states: np.ndarray) -> list:
 
     numpy reduces along a row one row at a time, which is slow for rows of a
     few states, and a transposed view of the rows is still reduced that way.
-    The speed comes from the stacked copy: np.array((P.T, Q.T)) is a
-    contiguous (2, k_max, n) array, whose minimum over the states is a few
-    elementwise minima of length-n columns. The minimum is order-free, so the
-    values are the same bit for bit. At n = 10**6 two-state rows a masked
-    minimum took 100-130 ms along the rows or on a transposed view, and
-    18-27 ms on the stacked copy, on a 2-vCPU x86-64 host.
+    The speed comes from one transposed copy of the pair's (2, n, k_max)
+    masses: a contiguous (2, k_max, n) array, whose minimum over the states is
+    a few elementwise minima of length-n columns. The minimum is order-free,
+    so the values are the same bit for bit. At n = 10**6 two-state rows a
+    masked minimum took 100-130 ms along the rows or on a transposed view,
+    and 18-27 ms on the transposed copy, on a 2-vCPU x86-64 host.
     """
-    sides = np.array((pair.p_masses.T, pair.q_masses.T))
+    sides = np.ascontiguousarray(pair.masses.transpose(0, 2, 1))
     minima = np.minimum.reduce(sides, axis=1, where=states.T, initial=np.inf)
     return np.multiply.reduce(minima, axis=1, initial=1.0).tolist()
 
@@ -232,9 +236,11 @@ class BoundsReport:
 
     ``delta`` holds the Scheffé differences p - q of ``reduction``, as do the
     ``delta_*`` fields of ``prodtv bounds``. ``marginal_tv(pair)`` computes
-    the same marginal TVs as half l1 distances: the two agree on Bernoulli
-    pairs but may differ in the last bits on others, so
-    ``l2_lower_bound(marginal_tv(pair))`` need not equal ``lower_l2``.
+    the same marginal TVs as half l1 distances. The two agree on Bernoulli
+    pairs whose complements 1 - p_i and 1 - q_i are all exact, as when every
+    parameter is at least 1/2, but may differ in the last bits where one
+    rounds and on other pairs, so ``l2_lower_bound(marginal_tv(pair))`` need
+    not equal ``lower_l2``.
 
     Its fields lower_name and upper_name are the table of bounds: their
     declared order is the order of ``lower_bounds()``, ``upper_bounds()`` and

@@ -102,12 +102,14 @@ class ProbVector:
 
 
 def _row_sums(masses: np.ndarray) -> np.ndarray:
-    """``masses.sum(axis=1)``, bit for bit. A row of two states is one addition,
-    which numpy's reduction does one row at a time; the two columns add as a
-    whole, and the + 0.0 turns a -0.0 sum into the +0.0 the reduction gives."""
-    if masses.shape[1] == 2:
-        return (masses[:, 0] + masses[:, 1]) + 0.0
-    return masses.sum(axis=1)
+    """``masses.sum(axis=-1)``, bit for bit: the sum of each row, the last
+    axis, of an (n, k) array or of both sides of a (2, n, k) one. A row of two
+    states is one addition, which numpy's reduction does one row at a time;
+    the two columns add as a whole, and the + 0.0 turns a -0.0 sum into the
+    +0.0 the reduction gives."""
+    if masses.shape[-1] == 2:
+        return (masses[..., 0] + masses[..., 1]) + 0.0
+    return masses.sum(axis=-1)
 
 
 def _mass_rows(rows, side: str | None = None) -> tuple:
@@ -190,23 +192,25 @@ def _unchecked(cls, **fields):
 
 @dataclass(frozen=True, init=False, eq=False)
 class FiniteProductPair:
-    """Two product distributions as zero-padded arrays of per-coordinate masses.
+    """Two product distributions as one zero-padded array of per-coordinate masses.
 
-    Coordinate i has support {0, ..., k_i - 1}, k_i = ``support_sizes[i]``, and
-    marginals ``p_masses[i, :k_i]`` and ``q_masses[i, :k_i]``; the rest of each
-    (n, k_max) row is 0. The arrays are read-only. Each side is given as mass
-    rows of any lengths (lists, arrays, FiniteDist) or as one 2-D array; each row
-    is validated like a FiniteDist, and errors name the side (P or Q) and the
-    coordinate. ``p_side`` and ``q_side`` give the rows back as FiniteDist.
+    ``masses`` is the read-only, C-contiguous (2, n, k_max) float64 array of
+    P's masses (``masses[0]``) and Q's (``masses[1]``), the form the exact
+    kernel reads. Coordinate i has support {0, ..., k_i - 1},
+    k_i = ``support_sizes[i]``, and marginals ``masses[0, i, :k_i]`` and
+    ``masses[1, i, :k_i]``; the rest of each row is 0. ``p_masses`` and
+    ``q_masses`` are the two (n, k_max) sides as views of it. Each side is
+    given as mass rows of any lengths (lists, arrays, FiniteDist) or as one
+    2-D array; each row is validated like a FiniteDist, and errors name the
+    side (P or Q) and the coordinate. ``p_side`` and ``q_side`` give the rows
+    back as FiniteDist.
     """
 
-    p_masses: np.ndarray
-    q_masses: np.ndarray
+    masses: np.ndarray
     support_sizes: np.ndarray
 
     def __init__(self, p_side, q_side):
-        p_masses, sizes = _mass_rows(p_side, "P")
-        q_masses, q_sizes = _mass_rows(q_side, "Q")
+        (p_masses, sizes), (q_masses, q_sizes) = _mass_rows(p_side, "P"), _mass_rows(q_side, "Q")
         if sizes.size != q_sizes.size:
             raise DimensionMismatchError(
                 f"p_side has {sizes.size} coordinates, q_side has {q_sizes.size}"
@@ -218,27 +222,38 @@ class FiniteProductPair:
             raise InvalidDistributionError(
                 f"coordinate {i}: support sizes differ ({sizes[i]} vs {q_sizes[i]})"
             )
-        self.__dict__.update(p_masses=p_masses, q_masses=q_masses, support_sizes=sizes)
+        self.__dict__.update(masses=_readonly(np.stack((p_masses, q_masses))), support_sizes=sizes)
 
-    def _take(self, index) -> "FiniteProductPair":
-        """The pair on the coordinates an index selects, without validating again."""
-        return _unchecked(FiniteProductPair, **{
-            name: _readonly(getattr(self, name)[index])
-            for name in ("p_masses", "q_masses", "support_sizes")})
+    def _take(self, mask: np.ndarray) -> "FiniteProductPair":
+        """The pair on the coordinates a boolean mask selects, without validating
+        again. (``compress`` keeps ``masses`` C-contiguous; ``masses[:, mask]``
+        would not be.)"""
+        return _unchecked(FiniteProductPair, masses=_readonly(self.masses.compress(mask, axis=1)),
+                          support_sizes=_readonly(self.support_sizes[mask]))
 
     @property
     def n(self) -> int:
         return self.support_sizes.size
 
     @property
-    def p_side(self) -> tuple:
+    def p_masses(self) -> np.ndarray:
+        return self.masses[0]
+
+    @property
+    def q_masses(self) -> np.ndarray:
+        return self.masses[1]
+
+    def _side(self, side: int) -> tuple:
         return tuple(_unchecked(FiniteDist, masses=row[:k])
-                     for row, k in zip(self.p_masses, self.support_sizes.tolist()))
+                     for row, k in zip(self.masses[side], self.support_sizes.tolist()))
+
+    @property
+    def p_side(self) -> tuple:
+        return self._side(0)
 
     @property
     def q_side(self) -> tuple:
-        return tuple(_unchecked(FiniteDist, masses=row[:k])
-                     for row, k in zip(self.q_masses, self.support_sizes.tolist()))
+        return self._side(1)
 
     def joint_support(self) -> int:
         """The product of the support sizes, as a Python int (an int64 one wraps
@@ -249,7 +264,9 @@ class FiniteProductPair:
     def from_bernoulli(cls, p, q) -> "FiniteProductPair":
         """Two-point encoding of a Bernoulli pair, rows (1 - p_i, p_i): state 1
         carries the parameter. It is the one place where a Bernoulli pair
-        becomes rows, and the rows are not validated a second time.
+        becomes rows, and the rows are not validated a second time. The
+        parameters fill state 1 of both sides, and one subtraction fills
+        state 0 of both.
 
         ProbVector has checked the parameters, and for every double p in
         [0, 1] the sum (1 - p) + p rounds to exactly 1.0: for p >= 1/2, 1 - p
@@ -258,18 +275,12 @@ class FiniteProductPair:
         goes to the even 1.0). Dividing each row by its total, as the
         constructor does, would change no bit, signed zeros included.
         """
-        p_masses, q_masses = map(_two_point_rows, _matched_params(p, q))
-        return _unchecked(cls, p_masses=p_masses, q_masses=q_masses,
-                          support_sizes=_readonly(np.full(len(p_masses), 2)))
-
-
-def _two_point_rows(params: np.ndarray) -> np.ndarray:
-    """The read-only (n, 2) rows (1 - p_i, p_i), the bytes of
-    ``np.stack((1.0 - params, params), axis=1)`` without its two copies."""
-    rows = np.empty((params.size, 2))
-    np.subtract(1.0, params, out=rows[:, 0])
-    rows[:, 1] = params
-    return _readonly(rows)
+        pa, qa = _matched_params(p, q)
+        masses = np.empty((2, pa.size, 2))
+        masses[0, :, 1], masses[1, :, 1] = pa, qa
+        np.subtract(1.0, masses[..., 1], out=masses[..., 0])
+        return _unchecked(cls, masses=_readonly(masses),
+                          support_sizes=_readonly(np.full(pa.size, 2)))
 
 
 def _as_pair(pair) -> FiniteProductPair:
@@ -572,9 +583,9 @@ def _merged_order(ratio_b: np.ndarray, threshold_a: np.ndarray) -> tuple:
 
 def _exact_tv(rows: np.ndarray, sizes: list) -> float:
     """Exact TV of two product distributions given by per-coordinate mass rows:
-    ``rows`` is one (2, n, k_max) array, P's and Q's masses zero-padded as
-    FiniteProductPair stores them, and ``sizes`` the list of the n support
-    sizes.
+    ``rows`` is one (2, n, k_max) array, P's and Q's masses zero-padded, which
+    for a FiniteProductPair is its stored ``masses`` array itself, and
+    ``sizes`` the list of the n support sizes.
 
     TV is the sum over joint outcomes (a, b) of P_a P_b - Q_a Q_b where that is
     positive, i.e. where log P_b - log Q_b > log Q_a - log P_a. The coordinates
@@ -627,10 +638,11 @@ def _exact_tv(rows: np.ndarray, sizes: list) -> float:
 
 def _exact_pair_tv(pair: FiniteProductPair, budget_log2: int | None) -> float:
     """The body of both enumeration entries: the budget rule on the support
-    sizes, then the kernel on the padded rows."""
+    sizes, then the kernel on the pair's stored ``masses``, the kernel's rows
+    as they are, with no copy."""
     sizes = pair.support_sizes.tolist()
     _check_budget(sizes, budget_log2)
-    return _exact_tv(np.stack((pair.p_masses, pair.q_masses)), sizes)
+    return _exact_tv(pair.masses, sizes)
 
 
 def exact_tv_bernoulli(p, q, *, budget_log2: int | None = None, workers: int = 1) -> float:
@@ -776,10 +788,12 @@ def exact_tv_equal_marginals(n: int, p: float, q: float) -> float:
 def marginal_tv(pair: FiniteProductPair) -> MarginalTV:
     """Per-coordinate TV distances of a product pair, each computed as half
     the l1 distance of the two marginals. ``bounds_report(pair).delta`` holds
-    the Scheffé differences p - q instead; the two agree on Bernoulli pairs
-    and may differ in the last bits on others."""
-    pair = _as_pair(pair)
-    deltas = 0.5 * _row_sums(np.abs(pair.p_masses - pair.q_masses))
+    the Scheffé differences p - q instead. On a Bernoulli pair the two agree
+    when every complement 1 - p_i and 1 - q_i is exact, as when all
+    parameters are at least 1/2; where one rounds they may differ in the last
+    bits (0.09999999999999999 here against 0.09999999999999998 there for
+    p = 0.1, q = 0.2), as they may on other pairs."""
+    deltas = 0.5 * _row_sums(np.abs(np.subtract(*_as_pair(pair).masses)))
     return MarginalTV(deltas)
 
 

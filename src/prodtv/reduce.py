@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FiniteProductPair, ProbVector, _as_pair, _row_sums
+from .core import FiniteProductPair, ProbVector, _as_pair, _readonly, _row_sums
 
 __all__ = ["ScheffeReduction", "scheffe_reduce"]
 
@@ -44,11 +44,7 @@ class ScheffeReduction:
 
 def scheffe_reduce(pair: FiniteProductPair) -> ScheffeReduction:
     """Reduce a product pair to the Bernoulli pair over its witness sets."""
-    pair = _as_pair(pair)
-    favored = pair.p_masses > pair.q_masses
-    favored.flags.writeable = False
-    return ScheffeReduction(
-        p=ProbVector(_row_sums(np.where(favored, pair.p_masses, 0.0))),
-        q=ProbVector(_row_sums(np.where(favored, pair.q_masses, 0.0))),
-        favored=favored,
-    )
+    masses = _as_pair(pair).masses
+    favored = _readonly(masses[0] > masses[1])
+    p, q = _row_sums(np.where(favored, masses, 0.0))
+    return ScheffeReduction(p=ProbVector(p), q=ProbVector(q), favored=favored)

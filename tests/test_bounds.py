@@ -189,6 +189,15 @@ class TestKLBracket:
         with pytest.raises(ValueError, match=re.escape(message)):
             tv.kl_bracket(pair)
 
+    def test_underflowing_q_min_names_the_lower_bound(self):
+        # Q_min = 1e-300 * 1e-300 underflows to 0.0 while P_min = 0.25 passes
+        # the gate, so the lower bound's 1 / m has no value (ROADMAP item 1).
+        pair = tv.FiniteProductPair.from_bernoulli([0.5, 0.5], [1e-300, 1e-300])
+        message = ("the KL lower bound KL / (2 log(1/m)) divides by zero: the joint minimum "
+                   "mass m = min(P_min, Q_min) is Q_min, which underflows to 0.0 (P_min = 0.25)")
+        with pytest.raises(ZeroDivisionError, match=f"^{re.escape(message)}$"):
+            tv.kl_bracket(pair)
+
     def test_gate_requires_small_p_min(self):
         # P_min = 0.5 fails the strict gate even though KL is finite
         pair = tv.FiniteProductPair.from_bernoulli([0.5], [0.4])

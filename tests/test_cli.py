@@ -94,6 +94,8 @@ class TestBoundsCommand:
         code, out, err = run(capsys, ["bounds", path])
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: the KL lower bound KL / (2 log(1/m)) divides by zero")
+        assert "Q_min, which underflows to 0.0 (P_min = 0.25)" in err
 
     def test_round_trip_values(self, tmp_path, capsys):
         path = write_instance(tmp_path, {"p": [0.9, 0.3], "q": [0.2, 0.8]})

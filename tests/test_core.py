@@ -776,7 +776,7 @@ class TestScanTotal:
                         row /= row.sum()
                 pair = tv.FiniteProductPair(p_rows, q_rows)
                 steps_folded.clear()
-                value = tv.core._exact_tv(np.stack((pair.p_masses, pair.q_masses)), sizes)
+                value = tv.core._exact_tv(pair.masses, sizes)
                 assert ((4, 3) in steps_folded) == together, (sizes, steps_folded)
                 assert value.hex() == exact_kernel_reference(
                     [d.masses for d in pair.p_side], [d.masses for d in pair.q_side]).hex(), sizes
@@ -971,10 +971,9 @@ class TestPairScan:
         n = 26."""
         p, q = np.random.default_rng(414 + n).random((2, n))
         pair = tv.FiniteProductPair.from_bernoulli(p, q)
-        rows = np.stack((pair.p_masses, pair.q_masses))
         tracemalloc.start()
         try:
-            tv.core._exact_tv(rows, [2] * n)
+            tv.core._exact_tv(pair.masses, [2] * n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1250,6 +1249,26 @@ class TestMarginalTV:
         assert 0.5 * np.abs(pair.p_masses - pair.q_masses).sum() == 1.0000000000000002
         assert tv.marginal_tv(pair).deltas.tolist() == [1.0]
 
+    def test_bernoulli_deltas_agree_when_complements_exact(self):
+        """Half the l1 distance and the Scheffe difference are the same value
+        when every 1 - p_i and 1 - q_i is exact, as for parameters >= 1/2."""
+        rng = np.random.default_rng(110)
+        p, q = 0.5 + 0.5 * rng.uniform(size=(2, 1000))
+        pair = tv.FiniteProductPair.from_bernoulli(p, q)
+        assert (tv.marginal_tv(pair).deltas.tobytes()
+                == tv.bounds_report(pair).delta.deltas.tobytes())
+
+    def test_bernoulli_deltas_differ_when_a_complement_rounds(self):
+        """0.9 = 1 - 0.1 and 0.8 = 1 - 0.2 round, so the two sums differ."""
+        pair = tv.FiniteProductPair.from_bernoulli([0.1], [0.2])
+        assert tv.marginal_tv(pair).deltas.tolist() == [0.09999999999999999]
+        assert tv.bounds_report(pair).delta.deltas.tolist() == [0.09999999999999998]
+        rng = np.random.default_rng(111)
+        p = rng.uniform(0.0, 0.5, 1000)
+        q = p + rng.choice([-1e-9, 1e-9], p.size)
+        pair = tv.FiniteProductPair.from_bernoulli(p, q)
+        assert (tv.marginal_tv(pair).deltas != tv.bounds_report(pair).delta.deltas).any()
+
     def test_norm_ordering(self):
         rng = np.random.default_rng(109)
         for _ in range(100):
@@ -1351,6 +1370,62 @@ class TestDataclassEquality:
 
 
 class TestArrayForm:
+    @staticmethod
+    def assert_one_array(pair):
+        """One read-only, C-contiguous (2, n, k_max) array, whose two sides
+        are p_masses and q_masses as views of it."""
+        masses = pair.masses
+        assert masses.shape == (2, pair.n, masses.shape[2]) and masses.dtype == np.float64
+        assert masses.flags.c_contiguous and not masses.flags.writeable
+        for side, view in enumerate((pair.p_masses, pair.q_masses)):
+            assert view.base is masses
+            assert np.shares_memory(view, masses[side]) or not masses.size
+            assert view.flags.c_contiguous and not view.flags.writeable
+            assert view.tobytes() == masses[side].tobytes()
+
+    def test_every_pair_is_one_array(self):
+        pair = tv.FiniteProductPair(([0.2, 0.3, 0.5], [0.9, 0.1], [1.0]),
+                                    ([0.5, 0.25, 0.25], [0.5, 0.5], [1.0]))
+        self.assert_one_array(pair)
+        self.assert_one_array(tv.FiniteProductPair.from_bernoulli([0.1, 0.7], [0.3, 0.3]))
+        for mask in ([True, False, True], [False, True, False], [False] * 3):
+            taken = pair._take(np.array(mask))
+            self.assert_one_array(taken)
+            assert taken.p_masses.tobytes() == pair.p_masses[mask].tobytes()
+            assert taken.q_masses.tobytes() == pair.q_masses[mask].tobytes()
+            assert taken.support_sizes.tolist() == pair.support_sizes[mask].tolist()
+
+    def test_kernel_reads_the_stored_array(self, monkeypatch):
+        """Both enumeration entries hand the kernel the pair's own masses, not
+        a copy."""
+        seen = []
+        kernel = tv.core._exact_tv
+
+        def spy(rows, sizes):
+            seen.append(rows)
+            return kernel(rows, sizes)
+
+        monkeypatch.setattr(tv.core, "_exact_tv", spy)
+        pair = tv.FiniteProductPair(([0.2, 0.8], [0.1, 0.6, 0.3]), ([0.5, 0.5], [0.3, 0.3, 0.4]))
+        tv.exact_tv_general(pair)
+        assert seen.pop() is pair.masses
+        made = []
+        build = tv.FiniteProductPair.from_bernoulli
+        monkeypatch.setattr(tv.FiniteProductPair, "from_bernoulli",
+                            lambda p, q: made.append(build(p, q)) or made[-1])
+        tv.exact_tv_bernoulli([0.9, 0.2], [0.4, 0.6])
+        assert seen.pop() is made.pop().masses
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_row_sums_of_both_sides(self, k):
+        """One _row_sums over the (2, n, k) array is each side's numpy row sum."""
+        rng = np.random.default_rng(130 + k)
+        masses = rng.random((2, 300, k)) * rng.choice([-0.0, 0.0, 1.0, 1e-300], (2, 300, k))
+        masses[:, :20] = -0.0
+        got = tv.core._row_sums(masses)
+        for side in range(2):
+            assert got[side].tobytes() == masses[side].sum(axis=1).tobytes()
+
     def test_padded_read_only_arrays(self):
         pair = tv.FiniteProductPair(([0.2, 0.3, 0.5], [0.9, 0.1]),
                                     ([0.5, 0.25, 0.25], [0.5, 0.5]))
@@ -1419,7 +1494,7 @@ class TestArrayForm:
 
     @staticmethod
     def assert_same_arrays(built, validated):
-        for name in ("p_masses", "q_masses", "support_sizes"):
+        for name in ("masses", "p_masses", "q_masses", "support_sizes"):
             a, b = getattr(built, name), getattr(validated, name)
             assert (a.dtype, a.shape, a.flags.writeable, a.flags.c_contiguous) == (
                 b.dtype, b.shape, b.flags.writeable, b.flags.c_contiguous), name

@@ -189,17 +189,21 @@ def kl_bracket(pair: FiniteProductPair) -> tuple:
     ZeroDivisionError naming the lower bound and Q_min (ROADMAP item 1).
     """
     pair = _as_pair(pair)
+    states = pair.masses[0] > 0.0
+    live = np.count_nonzero(states)
+    # A state with Q = 0 < P makes KL infinite, so no terms are formed. Every
+    # other term is finite (|log(x/y)| < 1500 for positive doubles), and so
+    # is their sum.
+    if np.count_nonzero(pair.masses[1][states]) < live:
+        return None, 1.0
     kl = _kl_divergence(pair)
     if kl < 0.0:
         raise ValueError(f"the KL sum of the stored masses is {kl!r}, below 0: KL is "
                          "nonnegative, so its terms cancelled within their rounding error")
     upper = min(1.0, math.sqrt(0.5 * kl))
-    if math.isinf(kl):
-        return None, upper
     # P_min = 0 when P puts mass 0 on a state, which leaves fewer positive
     # masses than states; otherwise P's positive masses are its states.
-    states = pair.masses[0] > 0.0
-    if np.count_nonzero(states) < pair.support_sizes.sum():
+    if live < pair.support_sizes.sum():
         return None, upper
     p_min, q_min = _min_mass_products(pair, states)
     if not 0.0 < p_min < 0.5:
@@ -299,6 +303,8 @@ def bounds_report(pair: FiniteProductPair) -> BoundsReport:
     two-point coordinates reduce by relabeling, so the bounds transfer to the
     original pair. A pair with identical sides takes the same path: every
     family reads it as a pair with no coordinates, and every sharp bound is 0.
+    An applicable bound that is not finite raises ValueError naming its field
+    before any best bound is chosen or clamped into [0, 1].
     """
     pair = _as_pair(pair)
     red = scheffe_reduce(pair)
@@ -324,6 +330,10 @@ def bounds_report(pair: FiniteProductPair) -> BoundsReport:
         bounds["upper_affinity"] = symmetric_affinity_upper_bound(symmetric_p)
 
     lowers, uppers = _applicable(bounds, "lower"), _applicable(bounds, "upper")
+    # Finite bounds lie near [0, 1], so their sum is finite exactly when each is.
+    if not math.isfinite(sum(lowers.values()) + sum(uppers.values())):
+        name = next(k for k, v in bounds.items() if v is not None and not math.isfinite(v))
+        raise ValueError(f"{name} is {bounds[name]!r}, not a finite bound")
     best_lower_source = max(lowers, key=lowers.get)
     best_upper_source = min(uppers, key=uppers.get)
     return BoundsReport(

@@ -379,7 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc = _add_command(sub, "mc", cmd_mc, "Monte Carlo TV estimate with Hoeffding interval")
     p_mc.add_argument("--samples", type=int, default=100_000)
     p_mc.add_argument("--confidence", type=float, default=0.95)
-    p_mc.add_argument("--seed", type=int, default=0)
+    p_mc.add_argument("--seed", type=int, default=0,
+                      help="seed of np.random.default_rng, whose PCG64 words are drawn; "
+                           "an integer in [0, 2**128) (default 0)")
 
     _add_command(sub, "symmetrize", cmd_symmetrize,
                  "symmetrized pair and per-coordinate channels")

@@ -46,7 +46,7 @@ DEFAULT_BUDGET_LOG2 = 26
 MASS_TOLERANCE = 1e-9
 
 _MC_BATCH = 1 << 16
-# Raw Philox words drawn at a time: 1 MiB.
+# Raw PCG64 words, those of np.random.default_rng(seed), drawn at a time: 1 MiB.
 _MC_BLOCK_WORDS = 1 << 17
 _RANGE_SLACK = 1e-12
 
@@ -803,14 +803,15 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
 
     Uses the identity TV = E_{X~P}[max(0, 1 - Q(X)/P(X))]; every sample term
     lies in [0, 1], so the half-width is the Hoeffding bound
-    sqrt(ln(2/(1-confidence)) / (2*samples)). The stream is drawn from a
-    counter-based Philox generator in fixed-size batches of (m, n) uniforms,
-    coordinate i of a sample being a one when its uniform is below p_i. The
-    uniforms are not formed: ``Generator.random`` would make each raw 64-bit
-    word w into u = (w >> 11) * 2**-53, so the test u < p_i is made exactly
-    as the integer comparison w >> 11 < ceil(p_i * 2**53). These are the same
-    draws and the same bits as comparing ``Generator.random`` with p_i; p_i = 1
-    gives the cut 2**53 (always a one) and p_i = 0 the cut 0 (never).
+    sqrt(ln(2/(1-confidence)) / (2*samples)). The stream is the raw PCG64
+    words of ``np.random.default_rng(seed)``, in fixed-size batches of (m, n)
+    uniforms, coordinate i of a sample being a one when its uniform is below
+    p_i. The uniforms are not formed: ``Generator.random`` would make each
+    raw 64-bit word w into u = (w >> 11) * 2**-53, so the test u < p_i is
+    made exactly as the integer comparison w >> 11 < ceil(p_i * 2**53). These
+    are the same draws and the same bits as comparing ``Generator.random``
+    with p_i; p_i = 1 gives the cut 2**53 (always a one) and p_i = 0 the cut
+    0 (never).
 
     Memory: one (n, m) array of outcome bits, one byte each, for the
     largest batch m = min(samples, 65536), which every batch reuses, plus
@@ -840,8 +841,8 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
     ratio -inf, which marks the sample: no log ratio is +inf, so its sum stays
     -inf and its term is exactly 1. The order of every operation is fixed (no
     BLAS, whose summation order depends on the build and thread count), so
-    the estimate is a pure function of (seed, samples); ``seed``, the Philox
-    key, must be an integer in [0, 2**128).
+    the estimate is a pure function of (seed, samples); ``seed``, the seed of
+    ``np.random.default_rng``, must be an integer in [0, 2**128).
 
     No clamp is applied: every term lies in [0, 1] and float rounding is
     monotone, so no partial sum exceeds its count and the value lies in
@@ -864,7 +865,7 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
 
     # p_i * 2**53 is exact (a power-of-two scaling), so its ceiling is too.
     cuts = np.ceil(pa * 2.0 ** 53).astype(np.uint64)
-    bit_gen = np.random.Philox(key=int(seed))
+    bit_gen = np.random.PCG64(int(seed))
     batch_sums = []
     done = 0
     # Outcome bits (True for a one), one row per coordinate; a batch of m

@@ -372,13 +372,13 @@ def exact_kernel_reference(p_rows, q_rows):
 
 
 def mc_product_reference(p, q, samples, seed=0):
-    """Monte Carlo TV value in product form: the same Philox draws as
+    """Monte Carlo TV value in product form: the same draws as
     ``mc_tv_estimate``, each term max(0, 1 - prod of per-coordinate q/p ratios)."""
     pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_one = np.where(pa > 0.0, qa / pa, 0.0)
         ratio_zero = np.where(pa < 1.0, (1.0 - qa) / (1.0 - pa), 0.0)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.default_rng(int(seed))
     total = 0.0
     done = 0
     while done < samples:
@@ -397,7 +397,7 @@ def mc_estimate_reference(p, q, samples, seed=0):
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratios = np.stack([np.where(pa < 1.0, np.log1p(-qa) - np.log1p(-pa), 0.0),
                                np.where(pa > 0.0, np.log(qa) - np.log(pa), 0.0)], axis=1)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.default_rng(int(seed))
     batch_sums = []
     done = 0
     while done < samples:

@@ -165,11 +165,17 @@ class TestKLBracket:
         assert upper == 0.0
         assert lower == 0.0  # P_min = 0.3 < 1/2, so the lower bound is emitted
 
-    def test_support_mismatch_gives_upper_one(self):
-        pair = tv.FiniteProductPair.from_bernoulli([0.5], [0.0])
-        lower, upper = tv.kl_bracket(pair)
-        assert lower is None
-        assert upper == 1.0
+    def test_support_mismatch_gives_upper_one(self, monkeypatch):
+        # A state with Q = 0 < P makes KL infinite before any term is formed.
+        def refuse(*args):
+            raise AssertionError("_rel_entr called")
+        monkeypatch.setattr(bounds_module, "_rel_entr", refuse)
+        for p_masses, q_masses in [
+                ([[0.5, 0.5]], [[1.0, 0.0]]),
+                ([[0.25, 0.75], [0.2, 0.3, 0.5]], [[0.5, 0.5], [0.0, 0.6, 0.4]]),
+                ([[1e-300, 1.0]], [[0.0, 1.0]])]:
+            pair = tv.FiniteProductPair(p_masses, q_masses)
+            assert tv.kl_bracket(pair) == (None, 1.0)
 
     def test_small_shift_instance(self):
         pair = tv.FiniteProductPair.from_bernoulli([0.6, 0.6], [0.5, 0.5])
@@ -597,6 +603,18 @@ class TestBoundsReport:
         expected = families if symmetric else families[:4]
         assert calls == dict.fromkeys(expected, 1)
         assert (report.upper_symmetric is not None) is symmetric
+
+    @pytest.mark.parametrize("bracket, message", [
+        ((math.nan, 0.5), "lower_hellinger is nan"),
+        ((0.1, math.nan), "upper_hellinger is nan"),
+        ((0.1, math.inf), "upper_hellinger is inf")])
+    def test_non_finite_bound_names_its_field(self, monkeypatch, bracket, message):
+        # max(0.0, nan) is 0.0 and min(1.0, nan) is 1.0, so a NaN would
+        # otherwise reach a best bound clamped into [0, 1].
+        monkeypatch.setattr(bounds_module, "hellinger_bracket", lambda pair: bracket)
+        pair = tv.FiniteProductPair.from_bernoulli([0.7, 0.4], [0.2, 0.6])
+        with pytest.raises(ValueError, match=f"^{message}, not a finite bound$"):
+            tv.bounds_report(pair)
 
     @pytest.mark.xfail(strict=True, reason="lower_hellinger reads 0.5000000000000001 above "
                        "upper_trivial 0.5; ROADMAP item 7's outward rounding fixes it")

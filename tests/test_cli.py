@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from oracles import (
     equal_marginals_error_bound,
     equal_marginals_mpmath,
     gap_tv_pq_mpmath,
+    mc_estimate_reference,
+    tv_fraction_bernoulli,
 )
 
 
@@ -96,6 +99,14 @@ class TestBoundsCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.startswith("error: the KL lower bound KL / (2 log(1/m)) divides by zero")
         assert "Q_min, which underflows to 0.0 (P_min = 0.25)" in err
+
+    def test_non_finite_bound_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        # The report refuses a NaN bound rather than clamp it into [0, 1].
+        monkeypatch.setattr(prodtv.bounds, "hellinger_bracket", lambda pair: (math.nan, 0.5))
+        path = write_instance(tmp_path, {"p": [0.9, 0.3], "q": [0.2, 0.8]})
+        code, out, err = run(capsys, ["bounds", path])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: lower_hellinger is nan, not a finite bound\n"
 
     def test_round_trip_values(self, tmp_path, capsys):
         path = write_instance(tmp_path, {"p": [0.9, 0.3], "q": [0.2, 0.8]})
@@ -632,6 +643,19 @@ REDUCE_GENERAL_MIXED = """\
 }
 """
 
+MC_BERNOULLI_EDGES = """\
+{
+  "schema_version": 1,
+  "kind": "bernoulli",
+  "n": 5,
+  "value": 0.42082669387755106,
+  "half_width": 0.0051331412368993586,
+  "confidence": 0.95,
+  "samples": 70000,
+  "seed": 7
+}
+"""
+
 SYMMETRIZE_CHANNEL_CASES = """\
 {
   "schema_version": 1,
@@ -743,15 +767,26 @@ class TestPinnedOutput:
         (SYMMETRIC_PADDED, ["bounds", "--exact"], BOUNDS_SYMMETRIC_PADDED_EXACT),
         (GENERAL_MIXED, ["reduce"], REDUCE_GENERAL_MIXED),
         (CHANNEL_CASES, ["symmetrize"], SYMMETRIZE_CHANNEL_CASES),
+        (BERNOULLI_EDGES, ["mc", "--samples", "70000", "--seed", "7"], MC_BERNOULLI_EDGES),
     ], ids=["bounds-bernoulli-edges", "bounds-general-mixed",
             "bounds-general-mixed-exact", "bounds-symmetric-padded-exact", "reduce-general-mixed",
-            "symmetrize-channel-cases"])
+            "symmetrize-channel-cases", "mc-bernoulli-edges"])
     def test_stdout_bytes(self, tmp_path, capsys, doc, command, expected):
         path = write_instance(tmp_path, doc)
         code, out, err = run(capsys, [command[0], path, *command[1:], "--format", "json"])
         assert code == 0
         assert err == ""
         assert out == expected
+
+    def test_mc_value_matches_its_references(self):
+        """The pinned estimate is ``mc_estimate_reference``'s, drawn from the
+        uniforms of np.random.default_rng(7), and lies within its Hoeffding
+        half-width of the exact TV in rationals."""
+        doc = json.loads(MC_BERNOULLI_EDGES)
+        p, q = BERNOULLI_EDGES["p"], BERNOULLI_EDGES["q"]
+        assert doc["value"] == mc_estimate_reference(p, q, doc["samples"], doc["seed"])
+        exact = tv_fraction_bernoulli(p, q)
+        assert abs(Fraction(doc["value"]) - exact) <= Fraction(doc["half_width"])
 
     def test_sweep_bytes(self, capsys):
         code, out, err = run(capsys, ["sweep", "--n-range", "1000:91000:30000"])

@@ -1663,10 +1663,13 @@ class TestMonteCarlo:
 
     def test_impossible_states_count_as_one(self):
         # Q cannot produce a one in the first coordinate; elsewhere P = Q, so
-        # the estimate is the share of draws with that one.
-        est = tv.mc_tv_estimate([0.25, 0.6], [0.0, 0.6], samples=20_000, seed=12)
-        ones = np.random.Generator(np.random.Philox(key=12)).random((20_000, 2))[:, 0] < 0.25
-        assert est.value == ones.sum() / 20_000
+        # the estimate is the share of draws with that one: over two batches,
+        # the uniforms of np.random.default_rng(seed) below 0.25, drawn row
+        # by row, at seeds across the seed range.
+        for seed in (12, 0, np.uint64(2 ** 64 - 1), 2 ** 128 - 1):
+            est = tv.mc_tv_estimate([0.25, 0.6], [0.0, 0.6], samples=70_000, seed=seed)
+            ones = np.random.default_rng(seed).random((70_000, 2))[:, 0] < 0.25
+            assert est.value == np.count_nonzero(ones) / 70_000, seed
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

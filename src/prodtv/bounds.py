@@ -68,7 +68,7 @@ def _deltas(delta) -> np.ndarray:
 def trivial_bracket(delta) -> tuple:
     """(max_i delta_i, min(1, sum_i delta_i)) - always valid, gap up to n."""
     d = _deltas(delta)
-    return float(d.max()), min(1.0, float(d.sum()))
+    return float(np.maximum.reduce(d)), min(1.0, float(np.add.reduce(d)))
 
 
 def l2_lower_bound(delta) -> float:
@@ -90,10 +90,10 @@ def symmetric_affinity_upper_bound(p) -> float:
     exact at n = 1. Degenerates to 1 when any p_i is 0 or 1.
     """
     pa = _params(p)
-    if np.any((pa == 0.0) | (pa == 1.0)):
+    if np.count_nonzero((pa == 0.0) | (pa == 1.0)):
         return 1.0
     log_ratios = np.log(pa / (1.0 - pa))
-    affinity = float(np.prod(2.0 * np.sqrt(pa * (1.0 - pa))))
+    affinity = float(np.multiply.reduce(2.0 * np.sqrt(pa * (1.0 - pa))))
     affinity *= math.exp(-0.5 * _l2_norm(log_ratios))
     return 1.0 - affinity
 
@@ -203,7 +203,7 @@ def kl_bracket(pair: FiniteProductPair) -> tuple:
     upper = min(1.0, math.sqrt(0.5 * kl))
     # P_min = 0 when P puts mass 0 on a state, which leaves fewer positive
     # masses than states; otherwise P's positive masses are its states.
-    if live < pair.support_sizes.sum():
+    if live < np.add.reduce(pair.support_sizes):
         return None, upper
     p_min, q_min = _min_mass_products(pair, states)
     if not 0.0 < p_min < 0.5:
@@ -283,12 +283,17 @@ class BoundsReport:
         return _applicable(vars(self), "upper")
 
 
+# The report's bound fields on each side, as (field, name) pairs in declared order.
+_SIDE_FIELDS = {side: tuple((f.name, f.name[len(side) + 1:]) for f in fields(BoundsReport)
+                            if f.name.startswith(side + "_"))
+                for side in ("lower", "upper")}
+
+
 def _applicable(values: dict, side: str) -> dict:
     """The bounds on one side that apply, by name, in the report's field
     order: values[side_name] for each field side_name that is not None."""
-    prefix = side + "_"
-    return {f.name[len(prefix):]: values[f.name] for f in fields(BoundsReport)
-            if f.name.startswith(prefix) and values[f.name] is not None}
+    return {name: values[field] for field, name in _SIDE_FIELDS[side]
+            if values[field] is not None}
 
 
 def bounds_report(pair: FiniteProductPair) -> BoundsReport:
@@ -308,12 +313,19 @@ def bounds_report(pair: FiniteProductPair) -> BoundsReport:
     """
     pair = _as_pair(pair)
     red = scheffe_reduce(pair)
-    delta = MarginalTV(red.p.params - red.q.params)
-    active = red.p.params > 0.0
-    p_active, q_active = red.p.params[active], red.q.params[active]
-    symmetric = np.all(pair.support_sizes[active] <= 2) and np.all(
-        np.abs(q_active - (1.0 - p_active)) <= SYMMETRIC_TOLERANCE)
-    active_pair = pair if active.all() else pair._take(active)
+    p_active, q_active = red.p.params, red.q.params
+    # Each favored state has P > Q >= 0, and p and q add the same states'
+    # masses in the same order; float addition and the reduction's clip at 1
+    # are monotone, so p >= q and 0 <= p - q <= p <= 1. The differences need
+    # no check.
+    delta = _unchecked(MarginalTV, deltas=_readonly(p_active - q_active))
+    active = p_active > 0.0
+    active_pair = pair
+    if np.count_nonzero(active) < active.size:
+        active_pair, p_active, q_active = pair._take(active), p_active[active], q_active[active]
+    symmetric = (np.count_nonzero(active_pair.support_sizes <= 2) == p_active.size
+                 and np.count_nonzero(np.abs(q_active - (1.0 - p_active)) <= SYMMETRIC_TOLERANCE)
+                 == p_active.size)
 
     # Each family is called by its module-level name, so that a wrapper put
     # in its place sees the call. On a pair with no coordinates (identical
@@ -336,7 +348,10 @@ def bounds_report(pair: FiniteProductPair) -> BoundsReport:
         raise ValueError(f"{name} is {bounds[name]!r}, not a finite bound")
     best_lower_source = max(lowers, key=lowers.get)
     best_upper_source = min(uppers, key=uppers.get)
-    return BoundsReport(
+    # Every field is valid by construction, so the frozen report is built
+    # without its constructor's per-field assignments.
+    return _unchecked(
+        BoundsReport,
         delta=delta,
         reduction=red,
         **bounds,

@@ -16,6 +16,7 @@ and repaired where it is not; A's terms are added in A's own order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -68,17 +69,19 @@ def _unit_interval_vector(values, what: str) -> np.ndarray:
     in [0, 1]; entries up to _RANGE_SLACK outside are clipped, anything else
     raises."""
     try:
-        arr = np.atleast_1d(np.array(values, dtype=np.float64))
+        arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError):  # ragged nesting, or entries that are not numbers
         arr = None
-    if arr is None or arr.ndim != 1 or arr.size == 0:
+    if arr is None or arr.ndim > 1 or arr.size == 0:
         raise InvalidDistributionError(f"{what} must be a non-empty 1-D vector")
-    if arr.min() >= 0.0 and arr.max() <= 1.0:  # False on NaN
+    if not arr.ndim:  # a scalar is a vector of one entry
+        arr = arr.reshape(1)
+    if np.minimum.reduce(arr) >= 0.0 and np.maximum.reduce(arr) <= 1.0:  # False on NaN
         return _readonly(arr)
-    if not np.all(np.isfinite(arr)):
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise InvalidDistributionError(f"{what} contains non-finite entries")
     bad = (arr < -_RANGE_SLACK) | (arr > 1.0 + _RANGE_SLACK)
-    if np.any(bad):
+    if np.count_nonzero(bad):
         i = int(np.argmax(bad))
         raise InvalidDistributionError(f"{what}[{i}] = {arr[i]!r} outside [0, 1]")
     return _readonly(np.clip(arr, 0.0, 1.0))
@@ -112,36 +115,51 @@ def _row_sums(masses: np.ndarray) -> np.ndarray:
     return masses.sum(axis=-1)
 
 
-def _mass_rows(rows, side: str | None = None) -> tuple:
-    """Validate mass rows into (masses, sizes): a read-only (n, k_max) float64
-    array, each row zero-padded after its k_i masses, and the vector of the k_i.
+def _invalid_rows(side: str | None) -> InvalidDistributionError:
+    message = "a non-empty 1-D vector" if side is None else "a sequence of 1-D mass rows"
+    return InvalidDistributionError(f"{side or 'masses'} must be {message}")
 
-    Each row must be non-empty, finite and nonnegative with a total within
-    MASS_TOLERANCE of 1, and is divided by that computed total. Errors name a
-    row as ``side[i]``; ``side=None`` is the one row of a FiniteDist.
+
+def _row_sizes(rows, side: str | None) -> np.ndarray:
+    """The number of masses in each row: a 2-D array's row length, or each
+    row's len(). Rows with no len(), generators among them, raise."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return np.full(len(rows), rows.shape[1])
+    try:
+        return np.fromiter(map(len, rows), np.int64, count=len(rows))
+    except (TypeError, ValueError):
+        raise _invalid_rows(side) from None
+
+
+def _fill_rows(masses: np.ndarray, rows, sizes: np.ndarray, side: str | None) -> None:
+    """Validate mass rows of the given ``sizes`` into ``masses``, an
+    (n, k_max) float64 array: each row zero-padded after its k_i masses.
+
+    Rows of one length are converted into it as one 2-D array, and rows of
+    different lengths are concatenated into the places of their masses. Each
+    row must be non-empty, finite and nonnegative with a total within
+    MASS_TOLERANCE of 1, and is divided by that computed total in place.
+    Errors name a row as ``side[i]``; ``side=None`` is the one row of a
+    FiniteDist.
     """
     try:
-        masses = np.array(rows, dtype=np.float64)
-        masses = masses.reshape(0, 0) if masses.shape == (0,) else masses  # no rows
-        if masses.ndim != 2:
-            raise ValueError(f"{masses.ndim}-D rows")
-        sizes = np.full(len(masses), masses.shape[1])
-    except (TypeError, ValueError):  # rows of different lengths
-        try:
-            sizes = np.fromiter(map(len, rows), np.int64)
-            masses = np.zeros((sizes.size, sizes.max()))
-            masses[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(
+        if sizes.size and np.minimum.reduce(sizes) < masses.shape[1]:  # rows of different lengths
+            masses.fill(0.0)
+            masses[np.arange(masses.shape[1]) < sizes[:, None]] = np.concatenate(
                 rows, dtype=np.float64)
-        except (TypeError, ValueError):
-            message = "a non-empty 1-D vector" if side is None else "a sequence of 1-D mass rows"
-            raise InvalidDistributionError(f"{side or 'masses'} must be {message}") from None
-    negative = (masses < 0.0).any(axis=1)
+        elif sizes.size:
+            masses[...] = rows
+    except (TypeError, ValueError):
+        raise _invalid_rows(side) from None
     with np.errstate(invalid="ignore", over="ignore"):
         totals = _row_sums(masses)
-    # A non-finite mass makes its row's total non-finite, which fails the test.
-    bad = (sizes == 0) | negative | ~(np.abs(totals - 1.0) <= MASS_TOLERANCE)
-    if bad.any():
-        i = int(np.argmax(bad))
+    # A non-finite mass makes its row's total non-finite, and an empty row's
+    # total is 0, so each fails the test on the totals; NaN fails both tests.
+    close = np.abs(totals - 1.0) <= MASS_TOLERANCE
+    if not (np.minimum.reduce(masses, axis=None, initial=0.0) >= 0.0
+            and np.count_nonzero(close) == close.size):
+        negative = np.logical_or.reduce(masses < 0.0, axis=1)
+        i = int(np.argmax(negative | ~close))
         j = int(np.argmax(masses[i] < 0.0)) if negative[i] else 0
         message = ("masses must be a non-empty 1-D vector" if sizes[i] == 0
                    else "masses contains non-finite entries" if not np.isfinite(masses[i]).all()
@@ -149,12 +167,20 @@ def _mass_rows(rows, side: str | None = None) -> tuple:
                    else f"masses sum to {float(totals[i])!r}, not 1")
         raise InvalidDistributionError(message if side is None else f"{side}[{i}]: {message}")
     masses /= totals[:, None]
+
+
+def _mass_rows(rows, side: str | None = None) -> tuple:
+    """Validate mass rows into (masses, sizes): a read-only (n, k_max) float64
+    array filled by ``_fill_rows``, and the read-only vector of the k_i."""
+    sizes = _row_sizes(rows, side)
+    masses = np.empty((sizes.size, sizes.max(initial=0)))
+    _fill_rows(masses, rows, sizes, side)
     return _readonly(masses), _readonly(sizes)
 
 
 def _l2_norm(values) -> float:
     """The l2 norm by numpy's pairwise sum; BLAS sums in an order set by its threads."""
-    return math.sqrt(float(np.square(values).sum()))
+    return math.sqrt(float(np.add.reduce(np.square(values))))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -201,28 +227,35 @@ class FiniteProductPair:
     ``masses[1, i, :k_i]``; the rest of each row is 0. ``p_masses`` and
     ``q_masses`` are the two (n, k_max) sides as views of it. Each side is
     given as mass rows of any lengths (lists, arrays, FiniteDist) or as one
-    2-D array; each row is validated like a FiniteDist, and errors name the
-    side (P or Q) and the coordinate. ``p_side`` and ``q_side`` give the rows
-    back as FiniteDist.
+    2-D array; each row is validated like a FiniteDist, P's rows first,
+    straight into ``masses``, and errors name the side (P or Q) and the
+    coordinate. ``p_side`` and ``q_side`` give the rows back as FiniteDist.
     """
 
     masses: np.ndarray
     support_sizes: np.ndarray
 
     def __init__(self, p_side, q_side):
-        (p_masses, sizes), (q_masses, q_sizes) = _mass_rows(p_side, "P"), _mass_rows(q_side, "Q")
+        sizes = _row_sizes(p_side, "P")
+        masses = np.empty((2, sizes.size, sizes.max(initial=0)))
+        _fill_rows(masses[0], p_side, sizes, "P")
+        q_sizes = _row_sizes(q_side, "Q")
+        if q_sizes.shape == sizes.shape and not np.count_nonzero(q_sizes != sizes):
+            _fill_rows(masses[1], q_side, sizes, "Q")
+        else:  # Q's rows are validated on their own, and their errors come first
+            q_sizes = _mass_rows(q_side, "Q")[1]
         if sizes.size != q_sizes.size:
             raise DimensionMismatchError(
                 f"p_side has {sizes.size} coordinates, q_side has {q_sizes.size}"
             )
         if not sizes.size:
             raise InvalidDistributionError("a product pair needs at least one coordinate")
-        if np.any(sizes != q_sizes):
+        if np.count_nonzero(sizes != q_sizes):
             i = int(np.argmax(sizes != q_sizes))
             raise InvalidDistributionError(
                 f"coordinate {i}: support sizes differ ({sizes[i]} vs {q_sizes[i]})"
             )
-        self.__dict__.update(masses=_readonly(np.stack((p_masses, q_masses))), support_sizes=sizes)
+        self.__dict__.update(masses=_readonly(masses), support_sizes=_readonly(sizes))
 
     def _take(self, mask: np.ndarray) -> "FiniteProductPair":
         """The pair on the coordinates a boolean mask selects, without validating
@@ -332,9 +365,10 @@ class TVEstimate:
 
 
 def _params(p) -> np.ndarray:
+    """``ProbVector(p).params``, without building the ProbVector."""
     if isinstance(p, ProbVector):
         return p.params
-    return ProbVector(p).params
+    return _unit_interval_vector(p, "params")
 
 
 def _matched_params(p, q) -> tuple:
@@ -435,16 +469,16 @@ def _live(block: np.ndarray) -> np.ndarray:
     are null on both sides; the block as it is when there is none. (``compress``
     takes the kept columns several times faster than ``block[:, kept]``.)"""
     kept = (block[0] > 0.0) | (block[1] > 0.0)
-    if kept.all():
+    if np.count_nonzero(kept) == kept.size:
         return block
     return block.compress(kept, axis=1)
 
 
 def _log_ratio(block: np.ndarray) -> np.ndarray:
     """``log block[0] - log block[1]`` by one np.log of the (2, N) block,
-    whose logs are freed on return."""
-    with np.errstate(divide="ignore"):
-        logs = np.log(block)
+    whose logs are freed on return. A mass of 0 warns of a division by zero
+    unless the caller ignores it."""
+    logs = np.log(block)
     return logs[0] - logs[1]
 
 
@@ -452,7 +486,13 @@ def _split(sizes: list) -> int:
     """Where the coordinates are cut into halves A and B: the first index
     whose running sum of log2 sizes is nearest half the total, the
     ``np.argmin`` of ``np.abs(2 * log_sizes - log_sizes[-1])`` over the
-    sequential sums ``np.cumsum`` gives, 0 prepended."""
+    sequential sums ``np.cumsum`` gives, 0 prepended. The cuts of the 64
+    sizes last used are kept, so pairs of one shape share one computation."""
+    return _split_of(tuple(sizes))
+
+
+@functools.lru_cache(maxsize=64)
+def _split_of(sizes: tuple) -> int:
     log_sizes = [0.0, *itertools.accumulate(map(math.log2, sizes))]
     gaps = [abs(2.0 * log_size - log_sizes[-1]) for log_size in log_sizes]
     return gaps.index(min(gaps))
@@ -538,25 +578,24 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     """``np.argsort(values, kind="stable")``, element for element.
 
     At most _ARGSORT_MAX values take that call. More take ``_keyed_order``
-    when one check proves it stable: each adjacent pair of the sorted values
-    is strictly ascending, or equal with ascending index. Then the
+    when one comparison proves it stable: each adjacent pair of the sorted
+    values is ascending or equal. Equal values have equal keys, so the keyed
+    order holds each run of them in index order already, and the
     permutation sorts by (value, index), which defines the stable order
-    uniquely. The check fails on values that differ only in the keys' dropped
-    low bits; the keyed order is then repaired by a stable argsort of the
-    values in its own order. That is exact: equal values have equal keys, so
-    the keyed order holds each run of them in index order already, and the
-    stable sort keeps it. NaN fails the check too, and since NaNs of other
-    bits are not keyed alike, values with one take the stable argsort of the
-    values themselves.
+    uniquely. The check fails on values that differ only in the keys'
+    dropped low bits; the keyed order is then repaired by a stable argsort
+    of the values in its own order, which keeps those runs as they are. NaN
+    compares false with its neighbours and fails the check too, and since
+    NaNs of other bits are not keyed alike, values with one take the stable
+    argsort of the values themselves.
     """
     if values.size <= _ARGSORT_MAX:
         return np.argsort(values, kind="stable")
     order = _keyed_order(values)
     ordered = values[order]
-    if ((ordered[1:] > ordered[:-1])
-            | ((ordered[1:] == ordered[:-1]) & (order[1:] > order[:-1]))).all():
+    if np.count_nonzero(ordered[1:] >= ordered[:-1]) == ordered.size - 1:
         return order
-    if np.isnan(ordered).any():
+    if np.count_nonzero(np.isnan(ordered)):
         return np.argsort(values, kind="stable")
     return order[np.argsort(ordered, kind="stable")]
 
@@ -573,12 +612,13 @@ def _merged_order(ratio_b: np.ndarray, threshold_a: np.ndarray) -> tuple:
     among A's entries of the order.
     """
     order = _stable_order(np.concatenate((ratio_b, threshold_a)))
-    in_b = order < ratio_b.size
-    # Positions, not masks: numpy's boolean indexing branches on each entry.
-    at_a = np.flatnonzero(~in_b)
+    in_a = order >= ratio_b.size
+    # Positions and compress, not masks: numpy's boolean indexing branches on
+    # each entry.
+    at_a = in_a.nonzero()[0]
     first = np.empty(threshold_a.size, dtype=np.intp)
     first[order[at_a] - ratio_b.size] = at_a - np.arange(at_a.size)
-    return order[np.flatnonzero(in_b)], first
+    return order.compress(~in_a), first
 
 
 def _exact_tv(rows: np.ndarray, sizes: list) -> float:
@@ -626,12 +666,15 @@ def _exact_tv(rows: np.ndarray, sizes: list) -> float:
         terms = half_a[0, 0] * half_b[0]
         terms -= half_a[1, 0] * half_b[1]
         return min(1.0, _scan_total(np.maximum(0.0, terms, out=terms)))
-    ratio_b = _log_ratio(half_b)
-    threshold_a = _log_ratio(half_a[::-1])
+    with np.errstate(divide="ignore"):
+        ratio_b = _log_ratio(half_b)
+        threshold_a = _log_ratio(half_a[::-1])
     order, first = _merged_order(ratio_b, threshold_a)
-    tails = _tails(half_b, order)
-    at = 2 * (order.size - first)
-    terms = np.maximum(0.0, half_a[0] * tails[at] - half_a[1] * tails[at + 1])
+    # Row |B| - first of the suffix sums, as (P-sum, Q-sum) pairs.
+    sums = _tails(half_b, order).reshape(-1, 2).take(order.size - first, axis=0)
+    terms = half_a[0] * sums[:, 0]
+    terms -= half_a[1] * sums[:, 1]
+    np.maximum(0.0, terms, out=terms)
     # Unclamped, a disjoint pair can exceed 1 by a few ulps, inside the error bound.
     return min(1.0, _scan_total(terms))
 

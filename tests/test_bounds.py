@@ -616,6 +616,18 @@ class TestBoundsReport:
         with pytest.raises(ValueError, match=f"^{message}, not a finite bound$"):
             tv.bounds_report(pair)
 
+    @pytest.mark.parametrize("family, value, message", [
+        ("kl_bracket", (math.nan, 0.5), "lower_kl is nan"),
+        ("l2_lower_bound", math.nan, "lower_l2 is nan"),
+        ("symmetric_affinity_upper_bound", math.nan, "upper_affinity is nan")])
+    def test_non_finite_family_names_its_field(self, monkeypatch, family, value, message):
+        """The report built without its constructor still refuses a family's
+        NaN by name, on a symmetric pair where every family is called."""
+        monkeypatch.setattr(bounds_module, family, lambda arg: value)
+        pair = tv.FiniteProductPair.from_bernoulli([0.7, 0.4], [0.3, 0.6])
+        with pytest.raises(ValueError, match=f"^{message}, not a finite bound$"):
+            tv.bounds_report(pair)
+
     @pytest.mark.xfail(strict=True, reason="lower_hellinger reads 0.5000000000000001 above "
                        "upper_trivial 0.5; ROADMAP item 7's outward rounding fixes it")
     def test_bracket_holds_without_slack(self):
@@ -636,6 +648,63 @@ def _hex(value):
 
 
 EDGES = [0.0, 1.0, 1e-300, 1.0 - 1e-16]
+
+
+class TestReportAssembly:
+    """bounds_report builds its frozen report without the dataclass
+    constructor's per-field assignments; the report is the one the
+    constructor makes of the same fields."""
+
+    @staticmethod
+    def reports():
+        rng = np.random.default_rng(418)
+        for n in (1, 3, 8, 20):
+            yield tv.bounds_report(tv.FiniteProductPair.from_bernoulli(
+                *random_bernoulli_pair(rng, n)))
+            p = rng.random(n)
+            yield tv.bounds_report(tv.FiniteProductPair.from_bernoulli(p, 1.0 - p))
+        for _ in range(20):
+            yield tv.bounds_report(random_product_pair(rng, zero_prob=0.3))
+        yield tv.bounds_report(tv.FiniteProductPair.from_bernoulli([0.3, 0.6], [0.3, 0.6]))
+        yield tv.bounds_report(tv.FiniteProductPair.from_bernoulli(
+            [0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53], [1.0, 0.5, 0.0, 0.5]))
+
+    def test_equals_the_constructors_report(self):
+        names = [f.name for f in dataclasses.fields(tv.BoundsReport)]
+        for report in self.reports():
+            built = tv.BoundsReport(**{name: getattr(report, name) for name in names})
+            assert [_hex(getattr(report, name)) for name in names] == [
+                _hex(getattr(built, name)) for name in names]
+            assert report == built and hash(report) == hash(built)
+            assert repr(report) == repr(built)
+            for side in ("lower", "upper"):
+                got = getattr(report, f"{side}_bounds")()
+                assert [(k, _hex(v)) for k, v in got.items()] == [
+                    (k, _hex(v)) for k, v in getattr(built, f"{side}_bounds")().items()]
+                assert list(got) == [name[len(side) + 1:] for name in names
+                                     if name.startswith(side + "_")
+                                     and getattr(report, name) is not None]
+            assert report.best_lower_source in report.lower_bounds()
+            assert report.best_upper_source in report.upper_bounds()
+
+    def test_report_is_frozen(self):
+        report = tv.bounds_report(tv.FiniteProductPair.from_bernoulli([0.7, 0.4], [0.2, 0.6]))
+        for name in ("best_lower", "lower_kl", "delta"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, 0.0)
+        for part, name in ((report.delta, "deltas"), (report.reduction, "p"),
+                           (report.reduction.p, "params")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(part, name, None)
+        assert not report.delta.deltas.flags.writeable
+
+    def test_delta_is_a_validated_vector(self):
+        """The Scheffé differences skip MarginalTV's check; they are what it
+        makes of them, bit for bit."""
+        for report in self.reports():
+            red = report.reduction
+            assert report.delta.deltas.tobytes() == tv.MarginalTV(
+                red.p.params - red.q.params).deltas.tobytes()
 
 
 class TestIdenticalSidesTakeTheGeneralPath:

@@ -993,6 +993,9 @@ def _order_cases():
     low_bits[1::2] = base
     with_nan = rng.normal(size=size)
     with_nan[rng.choice(size, 9, replace=False)] = np.nan
+    # One NaN, whose key ties with no other: the order's last value.
+    one_nan = rng.normal(size=size)
+    one_nan[rng.integers(size)] = np.nan
     ascending = np.sort(rng.normal(size=size) * 1e3)
     cases = {
         "exact ties": (rng.choice(rng.normal(size=5), size), "keyed"),
@@ -1003,6 +1006,7 @@ def _order_cases():
         "dropped low bits differ": (low_bits, "repaired"),
         "signed zeros": (rng.choice([0.0, -0.0, 1.0], size), "keyed"),
         "nan": (with_nan, "fallback"),
+        "one nan": (one_nan, "fallback"),
         "sorted": (ascending, "keyed"),
         "sorted with ties": (np.sort(rng.choice([-np.inf, 0.0, 1.5, np.inf], size)), "keyed"),
         "length 1": (np.array([0.3]), "argsort"),
@@ -1037,17 +1041,28 @@ def _merged_cases():
     with_nan = rng.normal(size=(2, size))
     with_nan[0, rng.choice(size, 5, replace=False)] = np.nan
     with_nan[1, rng.choice(size, 5, replace=False)] = np.copysign(np.nan, -1.0)
+    # A run of four keys that agree but for their index bits: equal values
+    # in index order, then a smaller one, then an equal one from half A.
+    run_b, run_a = rng.random(size), rng.random(size)
+    tie = run_b[0]
+    run_b[[size // 4, size // 2, 3 * size // 4]] = tie, tie, np.nextafter(tie, 0.0)
+    run_a[size // 2] = tie
+    # One negative NaN, whose key ties with no other: the order's first value.
+    negative_nan = rng.normal(size=(2, size))
+    negative_nan[0, rng.integers(size)] = np.copysign(np.nan, -1.0)
     return {
         "exact ties across halves": (rng.choice(shared, size), rng.choice(shared, size), "keyed"),
         "infinities on both halves": (rng.choice([-np.inf, np.inf, 0.5], size),
                                       rng.choice([-np.inf, np.inf, -0.5, 0.5], size), "keyed"),
         # A's threshold one ulp below B's ratio: the keys put B's first.
         "low-bit near-ties": (base, np.nextafter(base, -np.inf), "repaired"),
+        "tied run, equal and unequal": (run_b, run_a, "repaired"),
         "constant pair, n = 26": (*_kernel_halves(np.full(26, 0.3), np.full(26, 0.4)),
                                   "repaired"),
         "signed zeros": (rng.choice([0.0, -0.0, 1.0], size), rng.choice([-0.0, 0.0, -1.0], size),
                          "keyed"),
         "nan of either sign": (*with_nan, "fallback"),
+        "one negative nan": (*negative_nan, "fallback"),
         "random, B twice A": (rng.normal(size=2 * size), rng.normal(size=size), "keyed"),
         "random pair, n = 26": (*_kernel_halves(rng.random(26), rng.random(26)), "keyed"),
         "merged 1024": (rng.random(512), rng.random(512), "argsort"),
@@ -1487,6 +1502,55 @@ class TestArrayForm:
         with pytest.raises(tv.InvalidDistributionError,
                            match=r"^a product pair needs at least one coordinate$"):
             tv.FiniteProductPair([], [])
+
+    @pytest.mark.parametrize("p_side, q_side, error, message", [
+        # P's row errors come before Q's, whether Q's rows parse or not.
+        (([0.5, 0.6],), "rows", tv.InvalidDistributionError,
+         r"^P\[0\]: masses sum to 1\.1, not 1$"),
+        (([0.5, 0.5], [0.7]), ([0.5, 0.5], [1.0]), tv.InvalidDistributionError,
+         r"^P\[1\]: masses sum to 0\.7, not 1$"),
+        # Q's row errors come before a mismatch of the two sides.
+        (([0.5, 0.5],), ([0.5, 0.5], [0.9]), tv.InvalidDistributionError,
+         r"^Q\[1\]: masses sum to 0\.9, not 1$"),
+        (([0.5, 0.5],), ([0.2, 0.3, -0.5],), tv.InvalidDistributionError,
+         r"^Q\[0\]: masses\[2\] = np\.float64\(-0\.5\) is negative$"),
+        (([0.5, 0.5],), ([0.5, 0.5], [1.0]), tv.DimensionMismatchError,
+         r"^p_side has 1 coordinates, q_side has 2$"),
+        (([0.5, 0.5], [1.0]), ([1.0], [0.5, 0.5]), tv.InvalidDistributionError,
+         r"^coordinate 0: support sizes differ \(2 vs 1\)$"),
+        # Rows with no len(), ragged nesting and a generator do not parse.
+        (([0.5, [0.5]],), ([0.5, 0.5],), tv.InvalidDistributionError,
+         r"^P must be a sequence of 1-D mass rows$"),
+        (([0.5, 0.5], [[0.5, 0.5]]), ([0.5, 0.5], [1.0]), tv.InvalidDistributionError,
+         r"^P must be a sequence of 1-D mass rows$"),
+        ((row for row in ([0.5, 0.5],)), ([0.5, 0.5],), tv.InvalidDistributionError,
+         r"^P must be a sequence of 1-D mass rows$"),
+        (np.full((2, 2, 2), 0.5), ([0.5, 0.5], [0.5, 0.5]), tv.InvalidDistributionError,
+         r"^P must be a sequence of 1-D mass rows$"),
+        (np.empty((0, 5)), np.empty((0, 5)), tv.InvalidDistributionError,
+         r"^a product pair needs at least one coordinate$"),
+    ])
+    def test_errors_keep_their_order(self, p_side, q_side, error, message):
+        """Both sides are filled into one array, P's rows first; each side's
+        errors come as they would from that side alone."""
+        with pytest.raises(error, match=message):
+            tv.FiniteProductPair(p_side, q_side)
+
+    def test_every_input_form_fills_the_same_array(self):
+        """Lists, arrays, FiniteDist rows and ragged rows all give the bytes
+        of one-by-one validation, padded with zeros."""
+        rng = np.random.default_rng(124)
+        rect = rng.dirichlet(np.ones(3), 50)
+        ragged = [rng.dirichlet(np.ones(int(k))) for k in rng.integers(1, 6, 50)]
+        for rows in (rect, rect.tolist(), list(rect), [tv.FiniteDist(row) for row in rect],
+                     ragged, [row.tolist() for row in ragged], np.array(ragged, dtype=object)):
+            pair = tv.FiniteProductPair(rows, rows)
+            for i, row in enumerate(rows):
+                want = tv.FiniteDist(row).masses
+                for side in (pair.p_masses, pair.q_masses):
+                    assert side[i, :want.size].tobytes() == want.tobytes()
+                    assert not side[i, want.size:].any()
+            assert pair.masses.flags.owndata and pair.masses.flags.c_contiguous
 
     EDGE_PARAMS = [0.0, -0.0, 1.0, 5e-324, 1e-300, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.5,
                    np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),

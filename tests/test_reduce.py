@@ -81,3 +81,35 @@ def test_idempotence_up_to_relabeling_for_raw_bernoulli():
         expected_q[ties] = 0.0
         assert red.p.params == pytest.approx(expected_p, abs=1e-15)
         assert red.q.params == pytest.approx(expected_q, abs=1e-15)
+
+
+def _reduced_pairs():
+    """Random, edge-value and general pairs, and a row whose favored masses
+    sum to one ulp above 1."""
+    rng = np.random.default_rng(205)
+    edges = np.array([0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53])
+    for n in (1, 5, 40):
+        yield tv.FiniteProductPair.from_bernoulli(*random_bernoulli_pair(rng, n))
+        yield tv.FiniteProductPair.from_bernoulli(rng.choice(edges, n), rng.choice(edges, n))
+    for _ in range(50):
+        yield random_product_pair(rng, zero_prob=0.3)
+    yield tv.FiniteProductPair(
+        [[0.4325152177214142, 0.5637771777263074, 0.0037076045522782953, 0.0], [0.5, 0.5]],
+        [[0.0, 0.0, 0.0, 1.0], [0.5, 0.5]])
+
+
+def test_reduced_params_are_probvector_params():
+    """The reduction's p and q are ProbVector's validated copies of the
+    favored sums, bit for bit, without a second validation: in [0, 1] as
+    summed, or clipped to 1 from just above."""
+    clipped = 0
+    for pair in _reduced_pairs():
+        red = tv.scheffe_reduce(pair)
+        sums = np.where(red.favored, pair.masses, 0.0).sum(axis=-1)
+        clipped += int(np.count_nonzero(sums > 1.0))
+        for params, side_sums in ((red.p.params, sums[0]), (red.q.params, sums[1])):
+            assert params.tobytes() == tv.ProbVector(side_sums).params.tobytes()
+            assert not params.flags.writeable
+            with pytest.raises(ValueError):
+                params[0] = 0.5
+    assert clipped == 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,8 @@ DEFAULT_BUDGET_LOG2 = 26
 MASS_TOLERANCE = 1e-9
 
 _MC_BATCH = 1 << 16
-# Raw PCG64 words, those of np.random.default_rng(seed), drawn at a time: 1 MiB.
+# Uniforms, one per raw PCG64 word of np.random.default_rng(seed), alive at a
+# time: 1 MiB, half of it for each of a batch's two sample ranges.
 _MC_BLOCK_WORDS = 1 << 17
 _RANGE_SLACK = 1e-12
 
@@ -840,41 +842,113 @@ def marginal_tv(pair: FiniteProductPair) -> MarginalTV:
     return MarginalTV(deltas)
 
 
+# The worker of each process, by process id: a forked child starts its own.
+_mc_workers = {}
+
+
+def _mc_worker():
+    """This process's one worker thread, which computes the second sample
+    range of every Monte Carlo batch, or None where the process may run on
+    one CPU only. Its module is imported here, so that start-up does not load
+    it, and its thread starts with the first range it is given."""
+    pid = os.getpid()
+    if pid in _mc_workers:
+        return _mc_workers[pid]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    worker = None
+    if cpus > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="prodtv-mc")
+    # Of threads that get here at once, setdefault (atomic) keeps the first
+    # worker for all of them; the others are never given a range, so they
+    # start no thread.
+    return _mc_workers.setdefault(pid, worker)
+
+
+def _on_both(worker, first, second) -> None:
+    """first() in the caller and second() on ``worker``, or both in the caller
+    where ``worker`` is None. Returns once both are done. If first() raises,
+    its exception propagates once second() is done; otherwise an exception
+    of second() is raised as it was raised."""
+    if worker is None:
+        first()
+        second()
+        return
+    future = worker.submit(second)
+    try:
+        first()
+    finally:
+        future.exception()  # waits for second(), whatever first() did
+    future.result()
+
+
+def _mc_draw(gen: np.random.Generator, p: np.ndarray, uniforms: np.ndarray,
+             bits: np.ndarray) -> None:
+    """Fill ``bits``, an (n, r) view of outcome bits, with the r samples whose
+    uniforms ``gen`` draws next, a block of len(uniforms) samples at a time
+    into ``uniforms``, their (rows, n) buffer; ``p`` is the (n, 1) column of
+    parameters."""
+    rows, r = len(uniforms), bits.shape[1]
+    for start in range(0, r, rows):
+        block = gen.random(out=uniforms[:min(rows, r - start)])
+        np.less(block.T, p, out=bits[:, start:start + len(block)])
+
+
+def _mc_sum(llr: np.ndarray, bits: np.ndarray, log_ratios: np.ndarray) -> None:
+    """Add to ``llr`` the log ratios of the samples whose (n, r) outcome bits
+    are ``bits``, one coordinate at a time, left to right."""
+    for coord_bits, coord_ratios in zip(bits.view(np.uint8), log_ratios):
+        llr += coord_ratios.take(coord_bits)
+
+
 def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
                    seed: int = 0) -> TVEstimate:
     """Monte Carlo estimate of TV between Bernoulli products.
 
     Uses the identity TV = E_{X~P}[max(0, 1 - Q(X)/P(X))]; every sample term
     lies in [0, 1], so the half-width is the Hoeffding bound
-    sqrt(ln(2/(1-confidence)) / (2*samples)). The stream is the raw PCG64
-    words of ``np.random.default_rng(seed)``, in fixed-size batches of (m, n)
-    uniforms, coordinate i of a sample being a one when its uniform is below
-    p_i. The uniforms are not formed: ``Generator.random`` would make each
-    raw 64-bit word w into u = (w >> 11) * 2**-53, so the test u < p_i is
-    made exactly as the integer comparison w >> 11 < ceil(p_i * 2**53). These
-    are the same draws and the same bits as comparing ``Generator.random``
-    with p_i; p_i = 1 gives the cut 2**53 (always a one) and p_i = 0 the cut
-    0 (never).
+    sqrt(ln(2/(1-confidence)) / (2*samples)). The stream is the uniforms of
+    ``np.random.default_rng(seed).random``, in fixed-size batches of (m, n),
+    coordinate i of a sample being a one when its uniform is below p_i. Each
+    uniform is u = (w >> 11) * 2**-53 of one raw 64-bit PCG64 word w, so the
+    test u < p_i is exact: p_i = 1 always gives a one and p_i = 0 never.
 
-    Memory: one (n, m) array of outcome bits, one byte each, for the
-    largest batch m = min(samples, 65536), which every batch reuses, plus
-    words drawn in blocks of max(1, 131072 // n) samples: at most 1 MiB of
-    words for n <= 131072 (one sample's n words past that). The blocks take
-    the stream in the same order as one (m, n) draw would, and every batch
-    sum is formed over the whole batch, so the block size changes no bit.
-    Each block is freed before the next is drawn, and each batch's log
-    ratios, which become its terms in place, before the next batch allocates
-    its own, so beside the bits one block or one batch's arrays of m entries
-    (its log ratios and, one coordinate at a time, the column added to them
-    and take's int64 copy of the bits) is alive at a time.
+    A batch of m samples is cut into two sample ranges, [0, m // 2) and
+    [m // 2, m). The caller computes the first and one worker thread, started
+    on the first call, the second; on a one-CPU affinity mask, or for one
+    sample, the caller computes both. Each range has its own PCG64 at the
+    seed's state, advanced by ``PCG64.advance`` past the (done + lo) * n words
+    of the samples before it, so it draws exactly the words one serial stream
+    gives its samples. A batch runs in two phases. First both ranges draw
+    their uniforms and compare them into the shared rows of outcome bits; then
+    both sum their samples' log ratios into their own slices of the batch's
+    log ratios. The terms and the batch sum are formed by the caller over the
+    whole batch. Every value is thus a function of the samples alone, and no
+    value depends on the CPU count or on which thread computed a range.
+
+    Memory: one array for the call, allocated once. It holds the (n, m)
+    outcome bits, one byte each, for the largest batch m = min(samples,
+    65536), which every batch reuses, and float64 room for the uniforms,
+    which each range draws in blocks of max(1, 65536 // n) samples: at most
+    1 MiB for n <= 65536 (one sample's n uniforms for each range past that).
+    Once a batch's uniforms are compared, the same room holds its log
+    ratios, which become its terms in place. The blocks take the stream in
+    the same order as one (m, n) draw would, and every batch sum is formed
+    over the whole batch, so the block size changes no bit. Beside that
+    array only the column each range adds to its slice of the log ratios
+    and take's int64 copy of its bits are alive, one coordinate at a time.
     glibc gives freed memory at the top of its heap back to the system once
     it passes twice the mmap threshold, which rises to the largest block
     glibc has unmapped, and the next call faults those pages back in. A warm
     call reuses the pages of the call before it only while its footprint,
-    with glibc's 128 KiB pad, stays under twice its largest array: with
-    1 MiB blocks the shapes (n, samples) = (20, 20000) and (30, 10000) take
-    no minor fault a call; with 512 KiB blocks, (20, 20000), whose 400 KB of
-    bits are close to one block, took 193.
+    with glibc's 128 KiB pad, stays under twice its largest array. With one
+    array that largest array is nearly the whole footprint: the shapes
+    (n, samples) = (20, 20000), (30, 10000), (50, 20000) and (8, 65536)
+    take no minor fault a warm call. With the bits, each block and each
+    batch's log ratios allocated apart, the last two took 468 and 480.
 
     Each sample's log-likelihood ratio log Q(X) - log P(X) is summed one
     coordinate at a time, left to right, from log q_i - log p_i for a one and
@@ -906,30 +980,37 @@ def mc_tv_estimate(p, q, samples: int, confidence: float = 0.95,
         log_ratios = np.stack([np.where(pa < 1.0, np.log1p(-qa) - np.log1p(-pa), 0.0),
                                np.where(pa > 0.0, np.log(qa) - np.log(pa), 0.0)], axis=1)
 
-    # p_i * 2**53 is exact (a power-of-two scaling), so its ceiling is too.
-    cuts = np.ceil(pa * 2.0 ** 53).astype(np.uint64)
-    bit_gen = np.random.PCG64(int(seed))
+    gens = [np.random.Generator(np.random.PCG64(int(seed))) for _ in range(2)]
+    origin = gens[0].bit_generator.state
+    worker = _mc_worker() if samples > 1 else None
     batch_sums = []
     done = 0
-    # Outcome bits (True for a one), one row per coordinate; a batch of m
-    # samples fills the first m columns block by block from the words'
-    # transposed view, and each row's first m bytes are contiguous.
-    bits = np.empty((pa.size, min(_MC_BATCH, samples)), dtype=bool)
-    rows = max(1, _MC_BLOCK_WORDS // pa.size)
+    n, width = pa.size, min(_MC_BATCH, samples)
+    # Each range's block of uniforms, never longer than the range itself.
+    rows = max(1, min(_MC_BLOCK_WORDS // 2 // n, (width + 1) // 2))
+    # One array for the call: float64 room for both ranges' blocks of
+    # uniforms or, once they are compared, one batch's log ratios; then the
+    # outcome bits (True for a one), one row per coordinate, whose first m
+    # bytes a batch of m samples fills.
+    span = max(2 * rows * n, width)
+    buffer = np.empty(span - (-n * width // 8))
+    uniforms = buffer[:2 * rows * n].reshape(2, rows, n)
+    bits = buffer[span:].view(bool)[:n * width].reshape(n, width)
     while done < samples:
         m = min(_MC_BATCH, samples - done)
-        for start in range(0, m, rows):
-            words = bit_gen.random_raw((min(rows, m - start), pa.size))
-            words >>= np.uint64(11)
-            np.less(words.T, cuts[:, None], out=bits[:, start:start + len(words)])
-            del words  # before the next block is drawn
-        llr = np.zeros(m)
-        for coord_bits, coord_ratios in zip(bits[:, :m].view(np.uint8), log_ratios):
-            llr += coord_ratios.take(coord_bits)
+        ranges = (slice(0, m // 2), slice(m // 2, m))
+        for gen, part in zip(gens, ranges):
+            gen.bit_generator.state = origin
+            gen.bit_generator.advance((done + part.start) * n)
+        _on_both(worker, *(functools.partial(_mc_draw, gen, pa[:, None], block, bits[:, part])
+                           for gen, block, part in zip(gens, uniforms, ranges)))
+        llr = buffer[:m]
+        llr.fill(0.0)
+        _on_both(worker, *(functools.partial(_mc_sum, llr[part], bits[:, part], log_ratios)
+                           for part in ranges))
         # The terms -expm1(min(llr, 0)), in place.
         np.negative(np.expm1(np.minimum(llr, 0.0, out=llr), out=llr), out=llr)
         batch_sums.append(float(llr.sum()))
-        del llr  # before the next batch allocates its own
         done += m
     # The terms of an identical pair are -expm1(0) = -0.0; adding 0.0 makes
     # the value 0.0 whichever way a sum of them rounds its sign.

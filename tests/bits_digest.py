@@ -4,8 +4,10 @@ Every exact, closed-form and bounds value is printed with ``float.hex``, and
 every CLI command other than ``mc`` is run in process with its stdout and
 exit code printed as they are, over a fixed set of instances: random,
 zero_one-style (every fifth coordinate at 0 or 1), edge-parameter,
-identical, disjoint and general pairs with zero masses. Run it in two
-checkouts and compare the outputs to check that a change keeps these bits:
+identical, disjoint and general pairs with zero masses. Monte Carlo
+estimates are printed at fixed seeds across the seed range, on shapes at the
+edges of its batches and blocks. Run it in two checkouts and compare the
+outputs to check that a change keeps these bits:
 
     PYTHONPATH=src python tests/bits_digest.py > before.txt   # first checkout
     PYTHONPATH=src python tests/bits_digest.py > after.txt    # second checkout
@@ -117,6 +119,33 @@ def cli_answers(rng, tmp) -> None:
         print(out.getvalue() + err.getvalue().replace(tmp, ""), end="")
 
 
+def mc_pairs(rng):
+    """(name, samples, p, q) for Monte Carlo at the edges of its batches, of
+    the two sample ranges each batch is cut into, and of its blocks: one
+    sample (the first range empty), two and three samples, an odd count, two
+    batches (65537 samples, the second of one sample), one coordinate, and a
+    block of one sample (n > 65536). These are near pairs with edge
+    parameters at about 30% of the coordinates, where P and Q both put
+    (almost) all mass on one state, so that no sample is impossible under Q;
+    last come all 16 pairs of edge parameters, where the samples impossible
+    under Q give exactly 1.0."""
+    near_edges = np.array([(a, b) for a in EDGES for b in EDGES if abs(a - b) < 1e-15])
+    for n, samples in [(5, 1), (4, 2), (7, 3), (20, 20001), (3, 65537), (1, 4099), (70000, 3)]:
+        p = rng.random(n)
+        q = np.clip(p + rng.normal(0.0, 0.5 / np.sqrt(n), n), 0.0, 1.0)
+        edge = np.flatnonzero(rng.random(n) < 0.3)
+        p[edge], q[edge] = near_edges[rng.integers(len(near_edges), size=edge.size)].T
+        yield f"{n}x{samples}", samples, p, q
+    yield "edges-16x999", 999, *np.array([(a, b) for a in EDGES for b in EDGES]).T
+
+
+def mc_answers(rng) -> None:
+    for name, samples, p, q in mc_pairs(rng):
+        for seed in (0, 7, 2 ** 64 - 1, 2 ** 128 - 1):
+            answer(f"mc-{name}-seed-{seed} mc",
+                   lambda: tv.mc_tv_estimate(p, q, samples, seed=seed).value)
+
+
 def main() -> None:
     rng = np.random.default_rng(2024)
     for label, p, q in bernoulli_pairs(rng):
@@ -134,6 +163,7 @@ def main() -> None:
         answer(f"gap_ratio_exact {n}", lambda: tv.gap_ratio_exact(n))
     with tempfile.TemporaryDirectory() as tmp:
         cli_answers(rng, tmp)
+    mc_answers(rng)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@ process, prints what the committed digest for the running numpy holds.
 
 The digest is committed once per numpy minor version and per float64
 ``log``/``log1p`` dispatch: numpy's AVX-512 (SKX) loops and its scalar ones
-round some KL terms differently, which moves 5 lines. After a change that
+round some KL terms and some Monte Carlo log ratios differently, which moves
+12 lines (5 KL values and reports, 7 estimates). After a change that
 moves bits on purpose, regenerate the files and say in CHANGES.md why each
 line moved:
 

@@ -960,13 +960,13 @@ class TestParserReuse:
 
 
 # Runs CLI commands and library calls (a string step, evaluated with prodtv in
-# scope) in one fresh interpreter and prints, after each step, the scipy
-# modules loaded so far.
-_SCIPY_PROBE = """
+# scope) in one fresh interpreter and prints, after each step, the modules
+# loaded so far under the top-level package named in its second argument.
+_MODULE_PROBE = """
 import contextlib, io, json, sys
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[2])
 
 steps = []
 import prodtv
@@ -987,9 +987,10 @@ print(json.dumps(steps))
 """
 
 
-def scipy_steps(calls):
-    """[step, scipy modules loaded after it] pairs from one fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)],
+def loaded_steps(calls, package="scipy"):
+    """[step, modules of ``package`` loaded after it] pairs from one fresh
+    interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(calls), package],
                           capture_output=True, text=True, env=fresh_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -1003,7 +1004,7 @@ class TestScipyLoadedOnDemand:
     GENERAL = json.dumps(GENERAL_MIXED)
 
     def test_import_and_numpy_only_commands(self):
-        steps = scipy_steps([
+        steps = loaded_steps([
             (["exact", "-"], self.BERN),
             (["exact", "-"], self.GENERAL),
             (["mc", "-", "--samples", "2000"], self.BERN),
@@ -1032,6 +1033,32 @@ class TestScipyLoadedOnDemand:
         """Run alone in a fresh interpreter, bounds (kl_bracket included),
         bounds --exact and sweep leave scipy unloaded at import and after
         the run."""
-        (_, at_import), (_, after_import), (_, after_run) = scipy_steps([(argv, stdin)])
+        (_, at_import), (_, after_import), (_, after_run) = loaded_steps([(argv, stdin)])
         assert not at_import and not after_import
         assert not after_run, after_run
+
+
+class TestWorkerLoadedOnDemand:
+    """Only Monte Carlo starts a worker thread, and it imports the worker's
+    module, ``concurrent.futures``, when it first runs: importing prodtv and
+    running every other command load none of it."""
+
+    BERN = TestScipyLoadedOnDemand.BERN
+    GENERAL = TestScipyLoadedOnDemand.GENERAL
+
+    def test_only_mc_loads_it(self):
+        steps = loaded_steps([
+            (["exact", "-"], self.BERN),
+            (["exact", "-"], self.GENERAL),
+            (["bounds", "-", "--exact"], self.GENERAL),
+            (["reduce", "-"], self.GENERAL),
+            (["symmetrize", "-"], self.BERN),
+            (["gap", "--n-range", "1:5"], ""),
+            (["sweep", "--n", "4"], ""),
+            (["lowther", "--weights", "1,2,3", "--threshold", "0.8"], ""),
+            (["mc", "-", "--samples", "2000"], self.BERN),
+        ], package="concurrent")
+        assert len(steps) == 11
+        assert all(not modules for _, modules in steps[:-1]), steps
+        # The worker exists where this process may run on two CPUs or more.
+        assert bool(steps[-1][1]) == (prodtv.core._mc_worker() is not None), steps[-1]

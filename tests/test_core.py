@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodtv as tv
+from bits_digest import mc_pairs
 from oracles import (
     GAP_TV_PQ_BOUND,
     binomial_pmf_reference,
@@ -1594,6 +1600,23 @@ class TestArrayForm:
             tv.exact_tv_general(pair)
 
 
+@pytest.fixture
+def mc_worker(monkeypatch):
+    """A one-thread worker in place of the library's, also where the process
+    may run on one CPU only, and the threads each range of a batch ran on."""
+    ran_on = []
+    draw = tv.core._mc_draw
+
+    def recorded(*args):
+        ran_on.append(threading.current_thread().name)
+        draw(*args)
+
+    monkeypatch.setattr(tv.core, "_mc_draw", recorded)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="mc-test-worker") as pool:
+        monkeypatch.setattr(tv.core, "_mc_worker", lambda: pool)
+        yield ran_on
+
+
 class TestMonteCarlo:
     def test_identical_pair_is_exactly_zero(self):
         rng = np.random.default_rng(110)
@@ -1734,6 +1757,83 @@ class TestMonteCarlo:
             est = tv.mc_tv_estimate([0.25, 0.6], [0.0, 0.6], samples=70_000, seed=seed)
             ones = np.random.default_rng(seed).random((70_000, 2))[:, 0] < 0.25
             assert est.value == np.count_nonzero(ones) / 70_000, seed
+
+    def test_split_changes_no_bit(self, mc_worker, monkeypatch):
+        # Each range's PCG64, advanced past the words of the samples before
+        # it, draws what one serial stream gives its samples, so both ranges
+        # in the caller and the second on the worker give the same bits.
+        cases = list(mc_pairs(np.random.default_rng(140)))
+        on_worker = [tv.mc_tv_estimate(p, q, samples, seed=seed).value
+                     for _, samples, p, q in cases for seed in (0, 2 ** 128 - 1)]
+        assert any(name.startswith("mc-test-worker") for name in mc_worker)
+        mc_worker.clear()
+        monkeypatch.setattr(tv.core, "_mc_worker", lambda: None)
+        inline = [tv.mc_tv_estimate(p, q, samples, seed=seed).value
+                  for _, samples, p, q in cases for seed in (0, 2 ** 128 - 1)]
+        assert set(mc_worker) == {threading.current_thread().name}
+        assert [v.hex() for v in on_worker] == [v.hex() for v in inline]
+        _, samples, p, q = cases[3]
+        assert inline[6] == mc_estimate_reference(p, q, samples, 0)
+
+    def test_concurrent_callers_get_sequential_bits(self, mc_worker):
+        # Four threads share the one worker, each with its own seed, and
+        # switch as often as the interpreter lets them.
+        p, q = np.random.default_rng(141).random((2, 30))
+        seeds = [3, 2 ** 64 - 1, 12345, 2 ** 127]
+        sequential = [tv.mc_tv_estimate(p, q, 70_000, seed=seed).value for seed in seeds]
+        start = threading.Barrier(len(seeds))
+        concurrent = [None] * len(seeds)
+
+        def call(i):
+            start.wait()
+            concurrent[i] = tv.mc_tv_estimate(p, q, 70_000, seed=seeds[i]).value
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(seeds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [v.hex() for v in concurrent] == [v.hex() for v in sequential]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self):
+        # A forked child has no copy of its parent's worker thread, and a
+        # range given to that worker would never be computed.
+        p, q = np.random.default_rng(142).random((2, 20))
+        value = tv.mc_tv_estimate(p, q, 20_000, seed=5).value
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if tv.mc_tv_estimate(p, q, 20_000, seed=5).value == value else 1)
+        deadline = time.monotonic() + 60
+        while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if waited[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert waited[0] == pid and os.waitstatus_to_exitcode(waited[1]) == 0, waited
+
+    def test_worker_exception_reaches_the_caller(self, mc_worker, monkeypatch):
+        error = MemoryError("the worker's range")
+        draw = tv.core._mc_draw
+
+        def failing(*args):
+            if threading.current_thread().name.startswith("mc-test-worker"):
+                raise error
+            draw(*args)
+
+        monkeypatch.setattr(tv.core, "_mc_draw", failing)
+        with pytest.raises(MemoryError) as raised:
+            tv.mc_tv_estimate([0.3, 0.6], [0.4, 0.6], samples=1000, seed=1)
+        assert raised.value is error  # raised on the worker, the one thread that raises
+        monkeypatch.setattr(tv.core, "_mc_draw", draw)
+        assert (tv.mc_tv_estimate([0.3, 0.6], [0.4, 0.6], samples=1000, seed=1).value
+                == mc_estimate_reference([0.3, 0.6], [0.4, 0.6], 1000, 1))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
